@@ -11,7 +11,7 @@ __version__ = "1.0.0"
 
 from .errors import (DegenerateFrame, NonEquiregular, NotBracketGenerating,
                      PreconditionError, SamplingFailure)
-from .kernel import (PoleError, Poly, PolyRing, Q, QMatrix, RatFunc,
+from .kernel import (PoleError, Poly, PolyRing, Q, RatFunc,
                      ZeroDenominatorError, as_q)
 from .parsing import ExpressionError, parse_expr
 from .geometry import Chart, OneForm, VectorField, lie_bracket, pair
@@ -28,7 +28,7 @@ from .symplectic import (ClassReport, CotangentChart, CovectorSample,
                          class_at_sample, cone_J_generators, fiber_sample,
                          hamiltonians, pointwise_full_flag)
 from .extremals import (CorankReport, Trajectory, endpoint_errors,
-                        integrate_char, nu_along, residual_scaling)
+                        integrate_char, nu_along)
 from .symmetry import (SymmetryBasis, bracket_close_check, is_symmetry,
                        nilradical_witness_dim, stabilized_symmetry_basis,
                        symmetry_basis, symmetry_structure_constants,

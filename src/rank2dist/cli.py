@@ -106,7 +106,7 @@ def cmd_analyze(args):
     sf = strong_flag(dist, point)
     rep["growth_vector"] = list(wf.growth_vector)
     rep["strong_growth_vector"] = list(sf.growth_vector)
-    cube = cube_dim(dist, point)
+    cube = wf.dims[min(2, len(wf.dims) - 1)]
     rep["cube_dim"] = cube
     rep["goursat"] = is_goursat(dist, point, seed=args.seed)
     rep["equiregular_sampled"] = equiregular_check(dist, point,
@@ -248,15 +248,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         report = args.func(args)
-    except (ExpressionError, ValueError, OSError, json.JSONDecodeError) as e:
-        if isinstance(e, PreconditionError):
-            print("precondition failed: %s" % e, file=sys.stderr)
-            return EXIT_PRECONDITION
-        print("input error: %s" % e, file=sys.stderr)
-        return EXIT_INPUT
     except (PreconditionError, PoleError) as e:
         print("precondition failed: %s" % e, file=sys.stderr)
         return EXIT_PRECONDITION
+    except (ExpressionError, ValueError, OSError) as e:
+        print("input error: %s" % e, file=sys.stderr)
+        return EXIT_INPUT
     emit(report, args)
     return EXIT_OK
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 from .errors import (DegenerateFrame, NonEquiregular, NotBracketGenerating,
                      SamplingFailure)
-from .kernel import PoleError, Q, QEchelon, as_q, q_rref
-from .geometry import VectorField, lie_bracket
+from .kernel import PoleError, Q, QEchelon, as_q, q_solve
+from .geometry import lie_bracket
 
 # Default sampling box: integer offsets in [-3, 3] scaled by 1/2.
 _BOX = [Q(k, 2) for k in range(-3, 4)]
@@ -200,7 +200,7 @@ def is_goursat(dist, q, samples=3, seed=0):
         budget -= 1
         p = sample_point_near(q, rng)
         try:
-            Distribution(dist.chart, dist.frame).check_frame_at(p)
+            dist.check_frame_at(p)
         except (PoleError, DegenerateFrame):
             continue
         points.append(p)
@@ -274,32 +274,9 @@ class GradedSymbol:
                 return lvl
         raise IndexError(i)
 
-    def level_range(self, lvl):
-        start = sum(self.dims[:lvl - 1])
-        return start, start + self.dims[lvl - 1]
-
-    def bracket_basis(self, a, b):
-        return list(self.structure[a][b])
-
     def bracket(self, u, v):
         """Bracket of coordinate vectors."""
-        n = self.total_dim
-        out = [Q(0)] * n
-        for a in range(n):
-            ua = u[a]
-            if not ua:
-                continue
-            row = self.structure[a]
-            for b in range(n):
-                vb = v[b]
-                if not vb:
-                    continue
-                c = row[b]
-                coef = ua * vb
-                for k in range(n):
-                    if c[k]:
-                        out[k] += coef * c[k]
-        return out
+        return structure_bracket(self.structure, u, v)
 
     def validate(self):
         """Check antisymmetry, grading, Jacobi, and generation by g_{-1}."""
@@ -371,20 +348,79 @@ class GradedSymbol:
         return self.dims == other.dims and self.structure == other.structure
 
 
-def _adapted_basis(values_for_words, level_words, n):
-    """Greedy adapted basis: per level, keep words whose values extend the
-    span of lower levels.  Deterministic in the given word order."""
-    ech = QEchelon(n)
+def structure_bracket(st, u, v):
+    """Bracket of coordinate vectors u, v under structure constants
+    st[a][b] = coordinate vector of [e_a, e_b]."""
+    n = len(st)
+    out = [Q(0)] * n
+    for a in range(n):
+        ua = u[a]
+        if not ua:
+            continue
+        row = st[a]
+        for b in range(n):
+            vb = v[b]
+            if not vb:
+                continue
+            c = row[b]
+            coef = ua * vb
+            for k in range(n):
+                if c[k]:
+                    out[k] += coef * c[k]
+    return out
+
+
+def _symbol_from_words(value, nonzero, ngens, depth, dim):
+    """Graded symbol spanned by bracket words of `ngens` generators.
+
+    Level-1 words are the generators; level-(i+1) words are the pairs
+    (a, w) of a generator a and a level-i word w with nonzero((a, w)).
+    `value(word)` is a length-`dim` vector over Q.  The adapted basis keeps,
+    level by level and in that word order, each word whose value extends
+    the span of the words kept so far (deterministic greedy pivoting);
+    structure constants are the level-(i+j) coordinates of basis brackets.
+    """
+    gen_idx = list(range(ngens))
+    level_words = [gen_idx]
+    for _ in range(depth - 1):
+        level_words.append([(a, w) for a in gen_idx for w in level_words[-1]
+                            if nonzero((a, w))])
+    ech = QEchelon(dim)
     chosen = []         # list of (word, level)
+    basis_vals = []
     dims = []
     for lvl, words in enumerate(level_words, start=1):
         count = 0
         for w in words:
-            if ech.add(values_for_words(w)):
+            v = value(w)
+            if ech.add(v):
                 chosen.append((w, lvl))
+                basis_vals.append(v)
                 count += 1
         dims.append(count)
-    return chosen, dims
+    # express vectors in the adapted basis: solve V^T c = vec
+    cols = list(zip(*basis_vals))
+    mu = len(dims)
+    N = len(chosen)
+    structure = [[[Q(0)] * N for _ in range(N)] for _ in range(N)]
+    for a in range(N):
+        wa, la = chosen[a]
+        for b in range(a + 1, N):
+            wb, lb = chosen[b]
+            target = la + lb
+            if target > mu:
+                continue
+            coords = q_solve(cols, value((wa, wb)), N)
+            if coords is None:
+                raise ValueError("vector not in basis span")
+            for k in range(N):
+                if coords[k] and chosen[k][1] == target:
+                    structure[a][b][k] = coords[k]
+                    structure[b][a][k] = -coords[k]
+    sym = GradedSymbol(dims=dims, structure=structure,
+                       words=[w for w, _ in chosen])
+    sym.validate()
+    return sym
 
 
 def tanaka_symbol(dist, q, samples=3, seed=0, max_depth=None):
@@ -401,92 +437,17 @@ def tanaka_symbol(dist, q, samples=3, seed=0, max_depth=None):
     if rep.dims[-1] != n:
         raise NotBracketGenerating(
             "bracket words span only %d of %d dimensions" % (rep.dims[-1], n))
-    # all words per level, in deterministic generation order
-    gen_idx = list(range(dist.rank))
-    level_words = [list(gen_idx)]
-    for _ in range(len(rep.dims) - 1):
-        prev = level_words[-1]
-        level_words.append([(a, w) for a in gen_idx for w in prev
-                            if not dist.word_field((a, w)).is_zero()])
-
-    def value(w):
-        return dist.word_field(w).at(q)
-
-    chosen, dims = _adapted_basis(value, level_words, n)
-    basis_vals = [value(w) for w, _ in chosen]
-    # express vectors in the adapted basis: solve V^T c = vec
-    cols = list(zip(*basis_vals))
-    mu = len(dims)
-    N = len(chosen)
-    structure = [[[Q(0)] * N for _ in range(N)] for _ in range(N)]
-    for a in range(N):
-        wa, la = chosen[a]
-        for b in range(a + 1, N):
-            wb, lb = chosen[b]
-            target = la + lb
-            if target > mu:
-                continue
-            bracket_val = dist.word_field((wa, wb)).at(q)
-            coords = _solve_in_basis(cols, bracket_val)
-            for k in range(N):
-                if coords[k] and chosen[k][1] == target:
-                    structure[a][b][k] = coords[k]
-                    structure[b][a][k] = -coords[k]
-    sym = GradedSymbol(dims=dims, structure=structure,
-                       words=[w for w, _ in chosen])
-    sym.validate()
-    return sym
+    return _symbol_from_words(lambda w: dist.word_field(w).at(q),
+                              lambda w: not dist.word_field(w).is_zero(),
+                              dist.rank, len(rep.dims), n)
 
 
-def _solve_in_basis(basis_rows, vec):
-    n = len(vec)
-    aug = [list(r) + [v] for r, v in zip(basis_rows, vec)]
-    rref, pivots = q_rref(aug, len(basis_rows[0]) + 1)
-    ncols = len(basis_rows[0])
-    x = [Q(0)] * ncols
-    for ri, pc in enumerate(pivots):
-        if pc == ncols:
-            raise ValueError("vector not in basis span")
-        x[pc] = rref[ri][ncols]
-    return x
-
-
-def abstract_tanaka_replay(sym, n=None):
+def abstract_tanaka_replay(sym):
     """Run the tanaka adapted-basis procedure inside an abstract symbol.
 
     Returns the GradedSymbol the pointwise algorithm would produce for the
     flat model of `sym`, using the same deterministic word order.  Used by
     the flat-model round trip.
     """
-    N = sym.total_dim
-    gen_idx = list(range(sym.dims[0]))
-    level_words = [list(gen_idx)]
-    for _ in range(sym.depth - 1):
-        prev = level_words[-1]
-        level_words.append([(a, w) for a in gen_idx for w in prev
-                            if any(sym.eval_word((a, w)))])
-
-    def value(w):
-        return sym.eval_word(w)
-
-    chosen, dims = _adapted_basis(value, level_words, N)
-    basis_vals = [value(w) for w, _ in chosen]
-    cols = list(zip(*basis_vals))
-    mu = len(dims)
-    M = len(chosen)
-    structure = [[[Q(0)] * M for _ in range(M)] for _ in range(M)]
-    for a in range(M):
-        wa, la = chosen[a]
-        for b in range(a + 1, M):
-            wb, lb = chosen[b]
-            if la + lb > mu:
-                continue
-            coords = _solve_in_basis(cols, sym.eval_word((wa, wb)))
-            for k in range(M):
-                if coords[k] and chosen[k][1] == la + lb:
-                    structure[a][b][k] = coords[k]
-                    structure[b][a][k] = -coords[k]
-    out = GradedSymbol(dims=dims, structure=structure,
-                       words=[w for w, _ in chosen])
-    out.validate()
-    return out
+    return _symbol_from_words(sym.eval_word, lambda w: any(sym.eval_word(w)),
+                              sym.dims[0], sym.depth, sym.total_dim)

@@ -8,14 +8,12 @@ relative threshold plus a mandatory gap margin.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionError
-from .symplectic import (CotangentChart, _class_iteration, char_field,
-                         hamiltonians)
+from .symplectic import _class_iteration, char_field, hamiltonians
 
 RANK_RTOL = 1e-8        # singular values below RANK_RTOL * s_max are zero
 RANK_GAP = 10.0         # decisions within this factor of the cut are marginal
@@ -37,12 +35,8 @@ def _compile_poly(p):
     ring = p.ring
     terms = []
     for k, c in p.terms.items():
-        powers = []
-        for i, s in enumerate(ring.shifts):
-            e = (k >> s) & 0xFFFF
-            if e:
-                powers.append((i, e))
-        terms.append((float(c), tuple(powers)))
+        powers = tuple((i, e) for i, e in enumerate(ring.decode(k)) if e)
+        terms.append((float(c), powers))
     terms = tuple(terms)
 
     def ev(state, _terms=terms):
@@ -77,20 +71,6 @@ class Trajectory:
     h45_floor: list              # |h4| + |h5| per state
     halted: bool = False
     halt_reason: str = ""
-    nu_trace: list = field(default_factory=list)
-    nu_marginal: list = field(default_factory=list)
-
-    def to_json(self):
-        return json.dumps({
-            "times": self.times,
-            "states": self.states,
-            "h_residuals": self.h_residuals,
-            "h45_floor": self.h45_floor,
-            "halted": self.halted,
-            "halt_reason": self.halt_reason,
-            "nu_trace": self.nu_trace,
-            "nu_marginal": self.nu_marginal,
-        }, indent=2)
 
 
 def integrate_char(dist, sample, T, steps, residual_tol=1e-6,
@@ -185,8 +165,8 @@ def nu_along(dist, traj, sample, stride=None):
     The tower (lift generators plus iterated characteristic brackets,
     including one stabilization witness) is computed once exactly at the
     initial sample; along the flow only evaluations and SVD ranks are
-    floating point.  At t = 0 the float class must agree with the exact
-    one.
+    floating point.  At t = 0 the trace reports the exact class; the float
+    class there must agree with it unless its rank decision is marginal.
     """
     n = dist.chart.dim
     nu0, dims0, _, (gens, tower) = _class_iteration(dist, sample,
@@ -220,10 +200,10 @@ def nu_along(dist, traj, sample, stride=None):
         nu_trace.append(nu)
         marg_trace.append(marg)
     if nu_trace[0] != nu0 and not marg_trace[0]:
-        raise AssertionError("float class %d at t=0 disagrees with the "
-                             "exact class %d" % (nu_trace[0], nu0))
-    traj.nu_trace = nu_trace
-    traj.nu_marginal = marg_trace
+        raise PreconditionError("float class %d at t=0 disagrees with the "
+                                "exact class %d" % (nu_trace[0], nu0))
+    # the anchor: at t = 0 the exact class replaces the float decision
+    nu_trace[0], marg_trace[0] = nu0, False
     return corank_report(n, nu_trace, marg_trace)
 
 
@@ -242,20 +222,6 @@ def corank_report(n, nu_trace, marg_trace):
     return CorankReport(nu_trace=list(nu_trace), marginal=list(marg_trace),
                         nu_endpoint=nu_end, corank_bound=bound,
                         corank_claim=claim, note=note)
-
-
-def residual_scaling(dist, sample, T, steps_list):
-    """Max h-residual for each step count (convergence study helper).
-
-    Note: RK4 truncation error on these flows is empirically tangent to
-    {h1 = h2 = h3 = 0}, so these residuals sit at roundoff level for any
-    reasonable step; see endpoint_errors for the visible 4th-order decay.
-    """
-    out = []
-    for steps in steps_list:
-        traj = integrate_char(dist, sample, T, steps)
-        out.append(max(traj.h_residuals))
-    return out
 
 
 def endpoint_errors(dist, sample, T, steps_list, ref_mult=8):

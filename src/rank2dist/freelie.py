@@ -148,7 +148,6 @@ class FreeLieTruncated:
         self.expansions = [expand_word(bw, mu) for bw in self.bracket_words]
         self.dims = [sum(1 for w in self.basis if len(w) == d)
                      for d in range(1, mu + 1)]
-        self._degree_solvers = {}
 
     def decompose(self, elt, degree):
         """Coordinates of a homogeneous-degree Lie element in the Lyndon

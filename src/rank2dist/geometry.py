@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kernel import (PolyRing, Q, QEchelon, RatFunc, as_q, q_rref)
+from .kernel import PolyRing, RatFunc, as_q, q_inverse
 from .parsing import parse_expr
 
 
@@ -38,10 +38,6 @@ class Chart:
     def ratfunc(self, text):
         """Parse an expression string on this chart."""
         return parse_expr(text, self.ring)
-
-    def zero_field(self):
-        z = RatFunc.from_const(self.ring, 0)
-        return VectorField(self, [z] * self.dim)
 
     def coordinate_field(self, name):
         comps = [RatFunc.from_const(self.ring, 1 if c == name else 0)
@@ -203,11 +199,7 @@ def linear_change(x, a):
     rows = [[as_q(v) for v in r] for r in a]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError("matrix size != chart dimension")
-    rref, pivots = q_rref([list(r) + e for r, e in
-                           zip(rows, _identity(n))], 2 * n)
-    if len(pivots) < n or pivots[:n] != list(range(n)):
-        raise ValueError("singular coordinate change")
-    inv = [r[n:] for r in rref]
+    inv = q_inverse(rows)
     ring = chart.ring
     # substitute x_j <- (A^-1 y)_j into each component
     subs = []
@@ -231,7 +223,3 @@ def linear_change(x, a):
                 acc = acc + push(x.components[j]) * rows[i][j]
         comps.append(acc)
     return VectorField(chart, comps)
-
-
-def _identity(n):
-    return [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]

@@ -290,15 +290,23 @@ class Poly:
         return out
 
     def embed(self, ring):
-        """Re-express in a ring whose variables contain this ring's."""
+        """Re-express in a ring that holds every variable this polynomial
+        uses; variables of this ring that the terms do not use may be
+        missing from `ring`."""
         if ring is self.ring:
             return self
-        mapping = [ring.shifts[ring.index[nm]] for nm in self.ring.names]
+        moves = [(s, ring.shifts[ring.index[nm]] if nm in ring.index else None)
+                 for nm, s in zip(self.ring.names, self.ring.shifts)]
         out = {}
         for k, c in self.terms.items():
             nk = 0
-            for s_old, s_new in zip(self.ring.shifts, mapping):
-                nk |= ((k >> s_old) & _MASK) << s_new
+            for s_old, s_new in moves:
+                e = (k >> s_old) & _MASK
+                if e:
+                    if s_new is None:
+                        raise ValueError("polynomial uses a variable missing "
+                                         "from %r" % (ring,))
+                    nk |= e << s_new
             out[nk] = c
         return Poly(ring, out)
 
@@ -476,13 +484,6 @@ def _lead_wrt(f, i):
     return fu[max(fu)]
 
 
-def _poly_pow(f, e):
-    out = f.ring.one()
-    for _ in range(e):
-        out = out * f
-    return out
-
-
 def poly_gcd(f, g):
     """gcd of two polynomials, primitive with positive leading coefficient.
 
@@ -531,13 +532,12 @@ def poly_gcd(f, g):
         if r.degree_in(main) == 0:
             pg = f.ring.one()
             break
-        beta = gc * _poly_pow(hc, d)
+        beta = gc * hc ** d
         pf, pg = pg, (r if beta.is_const() and beta.const_value() == 1
                       else divexact(r, beta))
         gc = _lead_wrt(pf, main)
         if d >= 1:
-            hc = gc if d == 1 else divexact(_poly_pow(gc, d),
-                                            _poly_pow(hc, d - 1))
+            hc = gc if d == 1 else divexact(gc ** d, hc ** (d - 1))
     if not pg.is_const():
         cr = _content_wrt(pg, main)
         if not cr.is_const():
@@ -595,10 +595,9 @@ class RatFunc:
     def is_poly(self):
         return self.den.is_const()
 
-    def as_poly(self):
-        if not self.den == 1:
-            raise ValueError("not a polynomial: %r" % self)
-        return self.num
+    def embed(self, ring):
+        """Re-express in `ring`; see Poly.embed."""
+        return RatFunc(self.num.embed(ring), self.den.embed(ring))
 
     def _coerce(self, other):
         if isinstance(other, RatFunc):
@@ -763,19 +762,6 @@ def q_rank(rows, ncols=None):
     return ech.rank
 
 
-def independent_subset(vectors, ncols=None, ech=None):
-    """Indices of a greedy maximal independent subset (in input order)."""
-    if ech is None:
-        if not vectors:
-            return []
-        ech = QEchelon(ncols if ncols is not None else len(vectors[0]))
-    keep = []
-    for i, v in enumerate(vectors):
-        if ech.add(v):
-            keep.append(i)
-    return keep
-
-
 def q_rref(rows, ncols):
     """Reduced row echelon form; returns (rows, pivot_cols)."""
     mat = [[as_q(x) for x in r] for r in rows]
@@ -830,6 +816,17 @@ def q_solve(rows, rhs, ncols):
     return x
 
 
+def q_inverse(m):
+    """Inverse of a square matrix over Q; ValueError if it is singular."""
+    n = len(m)
+    rref, pivots = q_rref([list(r) + [_ONE if i == j else _ZERO
+                                      for j in range(n)]
+                           for i, r in enumerate(m)], 2 * n)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("singular matrix")
+    return [r[n:] for r in rref]
+
+
 # ---------------------------------------------------------------------------
 # exact linear algebra over the rational-function field
 # ---------------------------------------------------------------------------
@@ -870,12 +867,6 @@ def rf_rref(rows, ncols):
         if r == len(mat):
             break
     return mat[:r], pivots
-
-
-def rf_rank(rows, ncols):
-    if not rows:
-        return 0
-    return len(rf_rref(rows, ncols)[1])
 
 
 def rf_nullspace(rows, ncols):
@@ -932,29 +923,3 @@ def rf_solve_minimal(rows, rhs, ncols):
     for ri, pc in enumerate(pivots):
         x[pc] = rref[ri][ncols]
     return x
-
-
-# ---------------------------------------------------------------------------
-# QMatrix: thin exact-matrix wrapper over either scalar field
-# ---------------------------------------------------------------------------
-
-class QMatrix:
-    """Rectangular exact matrix over Q ('rational') or over the
-    rational-function field ('ratfunc')."""
-
-    def __init__(self, entries, field="rational"):
-        self.entries = [list(r) for r in entries]
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.entries else 0
-        if any(len(r) != self.cols for r in self.entries):
-            raise ValueError("ragged matrix")
-        self.field = field
-
-    def rank_nullspace(self):
-        """Exact (rank, right-nullspace basis)."""
-        if self.field == "rational":
-            return q_nullspace(self.entries, self.cols)
-        return rf_nullspace(self.entries, self.cols)
-
-    def rank(self):
-        return self.rank_nullspace()[0]

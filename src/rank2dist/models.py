@@ -8,11 +8,11 @@ import random
 from dataclasses import dataclass
 
 from .errors import DegenerateFrame, PreconditionError
-from .kernel import (PoleError, Poly, PolyRing, Q, QEchelon, RatFunc,
-                     rf_nullspace, rf_rref)
+from .kernel import (PoleError, Poly, PolyRing, Q, QEchelon, RatFunc, as_q,
+                     clear_denominators, q_inverse, rf_nullspace, rf_rref)
 from .geometry import Chart, OneForm, VectorField, lie_bracket, linear_change
-from .distribution import (Distribution, GradedSymbol, sample_point_near,
-                           weak_flag)
+from .distribution import (Distribution, GradedSymbol, cube_dim,
+                           sample_point_near, weak_flag)
 from .freelie import FreeLieTruncated, bch_words
 
 
@@ -108,14 +108,10 @@ def prolong(dist):
     u = _fresh_name("u", set(chart.coords))
     new_chart = Chart(tuple(chart.coords) + (u,))
     ring = new_chart.ring
-
-    def lift(f):
-        return RatFunc(f.num.embed(ring), f.den.embed(ring))
-
     uvar = RatFunc.variable(ring, u)
     zero = RatFunc.from_const(ring, 0)
     x1, x2 = dist.frame
-    comps = [lift(a) + uvar * lift(b)
+    comps = [a.embed(ring) + uvar * b.embed(ring)
              for a, b in zip(x1.components, x2.components)] + [zero]
     f1 = VectorField(new_chart, comps)
     f2 = new_chart.coordinate_field(u)
@@ -144,7 +140,6 @@ def _square_frame(dist):
 
 
 def _check_cube4_near(dist, q, samples=2, seed=0):
-    from .distribution import cube_dim
     rng = random.Random(seed)
     pts = [list(q)]
     budget = 20
@@ -182,7 +177,6 @@ def cauchy_characteristic(dist):
         a, b = vec[0], vec[1]
         if not (a.is_zero() and b.is_zero()):
             z = x1.scaled(a) + x2.scaled(b)
-            from .kernel import clear_denominators
             return VectorField(chart, clear_denominators(list(z.components)))
     raise PreconditionError("no Cauchy characteristic of D^2 inside D "
                             "(cube is not 4-dimensional?)")
@@ -225,7 +219,7 @@ def _deprolong_rectified(dist, q, z):
         cols.append(e)
     cols.append(zv)
     m = [[cols[c][r] for c in range(n)] for r in range(n)]
-    a = _invert(m)
+    a = q_inverse(m)
     frame = [linear_change(f, a) for f in dist.frame]
     moved = Distribution(chart, frame)
     f1, f2, f3 = _square_frame(moved)
@@ -248,14 +242,9 @@ def _deprolong_rectified(dist, q, z):
                 return None
     new_chart = Chart(chart.coords[:-1])
     ring = new_chart.ring
-
-    def restrict(f):
-        return RatFunc(_drop_var(f.num, ring), _drop_var(f.den, ring))
-
-    fields = [VectorField(new_chart, [restrict(e) for e in row[1:]])
+    fields = [VectorField(new_chart, [e.embed(ring) for e in row[1:]])
               for row in quotient_rows]
     out = Distribution(new_chart, fields)
-    from .kernel import as_q
     qq = [as_q(x) for x in q]
     moved = [sum((a[i][j] * qq[j] for j in range(n)), Q(0)) for i in range(n)]
     rep = weak_flag(out, moved[:-1])
@@ -263,30 +252,6 @@ def _deprolong_rectified(dist, q, z):
                            growth=rep.growth_vector,
                            cube=rep.dims[min(2, len(rep.dims) - 1)],
                            note="characteristic field rectified to d/d%s" % w)
-
-
-def _drop_var(p, ring):
-    """Re-express a Poly not involving the dropped trailing variable."""
-    out = {}
-    src = p.ring
-    for k, c in p.terms.items():
-        nk = 0
-        for nm in ring.names:
-            e = (k >> src.shifts[src.index[nm]]) & 0xFFFF
-            nk |= e << ring.shifts[ring.index[nm]]
-        out[nk] = c
-    return Poly(ring, out)
-
-
-def _invert(m):
-    from .kernel import q_rref
-    n = len(m)
-    aug = [list(r) + [Q(1) if i == j else Q(0) for j in range(n)]
-           for i, r in enumerate(m)]
-    rref, pivots = q_rref(aug, 2 * n)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("singular matrix")
-    return [r[n:] for r in rref]
 
 
 def _deprolong_invariants(dist, q):
@@ -449,20 +414,14 @@ class NilpotentGroup:
         tv = [t.scale(c) if c else ring.zero() for c in v_coords]
         zt = self.bch(z, tv, ring)
         ys = self.second_kind_coords(zt, ring)
-        out_ring = self.chart.ring
+        t_idx = ring.index["_t"]
         comps = []
         for y in ys:
+            # d/dt at t = 0: drop the terms that still carry t
             d = y.diff("_t")
-            kept = {}
-            for kterm, c in d.terms.items():
-                if (kterm >> ring.shifts[ring.index["_t"]]) & 0xFFFF:
-                    continue
-                nk = 0
-                for nm in out_ring.names:
-                    e = (kterm >> ring.shifts[ring.index[nm]]) & 0xFFFF
-                    nk |= e << out_ring.shifts[out_ring.index[nm]]
-                kept[nk] = c
-            comps.append(RatFunc.from_poly(Poly(out_ring, kept)))
+            at0 = Poly(ring, {k: c for k, c in d.terms.items()
+                              if not ring.decode(k)[t_idx]})
+            comps.append(RatFunc.from_poly(at0.embed(self.chart.ring)))
         return VectorField(self.chart, comps)
 
 

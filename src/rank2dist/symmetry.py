@@ -17,8 +17,10 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .kernel import (Poly, Q, QEchelon, RatFunc, q_nullspace, rf_nullspace)
+from .kernel import (Poly, Q, QEchelon, RatFunc, q_nullspace, q_solve,
+                     rf_nullspace)
 from .geometry import OneForm, VectorField, lie_bracket, pair
+from .distribution import structure_bracket
 
 
 def annihilator_forms(dist):
@@ -371,7 +373,6 @@ def symmetry_structure_constants(dist, basis):
             coords.update(it)
     coords = sorted(coords)
     pos = {c: i for i, c in enumerate(coords)}
-    from .kernel import q_solve
     rows = [[field_items[j].get(c, Q(0)) for j in range(N)] for c in coords]
     zero = [Q(0)] * N
     st = [[list(zero) for _ in range(N)] for _ in range(N)]
@@ -386,23 +387,6 @@ def symmetry_structure_constants(dist, basis):
         st[a][b] = sol
         st[b][a] = [-v for v in sol]
     return st
-
-
-def _st_bracket(st, u, v):
-    n = len(st)
-    out = [Q(0)] * n
-    for a in range(n):
-        if not u[a]:
-            continue
-        for b in range(n):
-            if not v[b]:
-                continue
-            c = st[a][b]
-            coef = u[a] * v[b]
-            for k in range(n):
-                if c[k]:
-                    out[k] += coef * c[k]
-    return out
 
 
 def nilradical_witness_dim(dist, basis):
@@ -438,7 +422,7 @@ def nilradical_witness_dim(dist, basis):
     for a in range(N):
         e = [Q(1 if i == a else 0) for i in range(N)]
         for r in rad:
-            w = _st_bracket(st, e, r)
+            w = structure_bracket(st, e, r)
             if any(w) and ech.add(w):
                 witness.append(w)
     # nilpotency: the lower central series of the witness span must reach 0
@@ -450,7 +434,7 @@ def nilradical_witness_dim(dist, basis):
         nxt = []
         for w in witness:
             for v in layer:
-                u = _st_bracket(st, w, v)
+                u = structure_bracket(st, w, v)
                 if any(u) and nxt_ech.add(u):
                     nxt.append(u)
         if len(nxt) >= len(layer):

@@ -13,12 +13,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .errors import DegenerateFrame, PreconditionError, SamplingFailure
+from .errors import PreconditionError, SamplingFailure
 from .kernel import (PoleError, Q, QEchelon, RatFunc, as_q,
                      clear_denominators, q_nullspace, rf_nullspace,
                      rf_solve_minimal)
 from .geometry import Chart, VectorField, lie_bracket
-from .distribution import Distribution, cube_dim, sample_point_near
+from .distribution import cube_dim
 
 CONVENTION_NOTE = ("cone convention: computed on the full cotangent bundle; "
                    "the Euler (fiber-scaling) direction adds +1 to every "
@@ -51,7 +51,7 @@ class CotangentChart:
 
     def lift_function(self, f):
         """Pull a base function back to the cotangent chart."""
-        return RatFunc(f.num.embed(self.ring), f.den.embed(self.ring))
+        return f.embed(self.ring)
 
     def hamiltonian_of(self, x):
         """h_X = sum_i p_i X^i(x): exact, linear in the momenta."""
@@ -157,9 +157,10 @@ def fiber_sample(dist, q, seed=0, rng=None, budget=200):
     Draws seeded random rational combinations of an exact nullspace basis
     of the value matrix of (X1, X2, [X1, X2]) at q until (h4, h5) != (0,0).
     """
-    if cube_dim(dist, q) != 5:
+    cube = cube_dim(dist, q)
+    if cube != 5:
         raise PreconditionError("dim D^3 = %d at the base point (need 5)"
-                                % cube_dim(dist, q))
+                                % cube)
     n = dist.chart.dim
     x1, x2, x3, x4, x5 = square_fields(dist)
     rows = [f.at(q) for f in (x1, x2, x3)]
@@ -300,8 +301,8 @@ def _class_iteration(dist, sample, depth_cap=None, keep_tower=False):
         tower.extend(new)
         frontier = new
     if nu is None:
-        raise AssertionError("flag failed to stabilize within depth cap %d"
-                             % depth_cap)
+        raise PreconditionError("flag failed to stabilize within depth "
+                                "cap %d" % depth_cap)
     assert nu <= n - 3, "class %d exceeds the bound n-3 = %d" % (nu, n - 3)
     assert dims[0] == n - 1 and dims[-1] <= 2 * n - 4
     if keep_tower:

@@ -89,6 +89,15 @@ class TestTrace:
         assert max(rep["h_residuals"]) <= 1e-8
         validate(rep)
 
+    def test_t0_reports_the_exact_class(self, tmp_path):
+        # the float rank at t=0 is marginal here and reads 4
+        code, rep = run_cli(["trace", "--model", "monge", "--n", "8",
+                             "--seed", "0", "--T", "0.25", "--steps", "50"],
+                            tmp_path)
+        assert code == 0
+        assert rep["nu_trace"][0] == 5
+        assert rep["nu_marginal"][0] is False
+
     def test_trace_needs_cube5(self, tmp_path):
         code, rep = run_cli(["trace", "--model", "cartan-jet", "--k", "3"],
                             tmp_path)
@@ -140,6 +149,14 @@ class TestErrors:
         code, _ = run_cli(["analyze", "--input",
                            str(tmp_path / "nothere.json")], tmp_path)
         assert code == 1
+
+    def test_depth_cap_below_the_class(self, tmp_path, capsys):
+        code, _ = run_cli(["analyze", "--model", "monge", "--n", "6",
+                           "--depth-cap", "1", "--samples", "1"], tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("precondition failed:")
+        assert len(err.strip().splitlines()) == 1
 
     def test_degenerate_frame(self, tmp_path):
         p = tmp_path / "degen.json"

@@ -9,7 +9,7 @@ import pytest
 from rank2dist.errors import PreconditionError
 from rank2dist.extremals import (CorankReport, compile_field, compile_scalar,
                                  corank_report, endpoint_errors,
-                                 integrate_char, nu_along, residual_scaling)
+                                 integrate_char, nu_along)
 from rank2dist.kernel import Q
 from rank2dist.models import monge_model
 from rank2dist.symplectic import char_field, fiber_sample, hamiltonians
@@ -70,12 +70,13 @@ class TestIntegrate:
         start = np.array(s.point, dtype=float)
         assert np.max(np.abs(np.array(back[-1]) - start)) <= 1e-6
 
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, tmp_path):
         import json
-        dist = monge_model(5)
-        s = fiber_sample(dist, origin(dist))
-        traj = integrate_char(dist, s, 0.01, 10)
-        again = json.loads(traj.to_json())
+        from rank2dist.cli import main
+        out = tmp_path / "trace.json"
+        assert main(["trace", "--model", "monge", "--n", "5", "--T", "0.01",
+                     "--steps", "10", "--out", str(out)]) == 0
+        again = json.loads(out.read_text())
         assert again["times"][-1] == pytest.approx(0.01)
         assert len(again["states"]) == 11
 
@@ -110,6 +111,21 @@ class TestNuAlong:
         assert rep.corank_bound == 1
         assert rep.corank_claim == 1
 
+    def test_t0_disagreement_is_a_precondition_error(self, monkeypatch):
+        import rank2dist.extremals as ex
+        real = ex._class_iteration
+
+        def off_by_one(*args, **kwargs):
+            nu, dims, levels, fields = real(*args, **kwargs)
+            return nu + 1, dims, levels, fields
+
+        monkeypatch.setattr(ex, "_class_iteration", off_by_one)
+        dist = monge_model(6)
+        s = fiber_sample(dist, origin(dist))
+        traj = integrate_char(dist, s, 0.01, 10)
+        with pytest.raises(PreconditionError):
+            nu_along(dist, traj, s)
+
     def test_monge5_class_two(self):
         dist = monge_model(5)
         s = fiber_sample(dist, origin(dist))
@@ -142,8 +158,9 @@ class TestConvergence:
         # at roundoff for any step size rather than decaying at 4th order
         dist = monge_model(6)
         s = fiber_sample(dist, origin(dist))
-        res = residual_scaling(dist, s, 0.1, [50, 100, 200])
-        assert all(r <= 1e-10 for r in res)
+        for steps in (50, 100, 200):
+            traj = integrate_char(dist, s, 0.1, steps)
+            assert max(traj.h_residuals) <= 1e-10
 
     def test_endpoint_fourth_order(self):
         dist = monge_model(6)

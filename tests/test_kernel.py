@@ -4,10 +4,10 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from rank2dist.kernel import (PoleError, Poly, PolyRing, Q, QMatrix, RatFunc,
+from rank2dist.kernel import (PoleError, Poly, PolyRing, Q, RatFunc,
                               ZeroDenominatorError, as_q, clear_denominators,
-                              divexact, poly_gcd, q_nullspace, q_rank, q_rref,
-                              q_solve, rf_nullspace, rf_rank, rf_rref,
+                              divexact, poly_gcd, q_inverse, q_nullspace,
+                              q_rank, q_rref, q_solve, rf_nullspace, rf_rref,
                               rf_solve_minimal)
 
 R3 = PolyRing(("x", "y", "z"))
@@ -82,6 +82,14 @@ class TestPoly:
         p = (X + Y).embed(big)
         assert p.ring is big
         assert p.eval([Q(1), Q(2), Q(0), Q(9)]) == Q(3)
+
+    def test_embed_drops_unused_variables(self):
+        small = PolyRing(("y", "x"))
+        p = (X * X * Y + 3).embed(small)
+        assert p.ring is small
+        assert p.eval([Q(2), Q(5)]) == Q(53)
+        with pytest.raises(ValueError):
+            (X + Z).embed(small)
 
     @given(polys(), polys())
     @settings(max_examples=60, deadline=None)
@@ -218,6 +226,16 @@ class TestQLinear:
         assert x == [Q(2), Q(1)]
         assert q_solve([[1, 1], [1, 1]], [Q(0), Q(1)], 2) is None
 
+    def test_inverse(self):
+        m = [[2, 1, 0], [0, 1, 0], [1, 0, 1]]
+        inv = q_inverse(m)
+        for i in range(3):
+            for j in range(3):
+                assert sum(m[i][k] * inv[k][j] for k in range(3)) == \
+                    (1 if i == j else 0)
+        with pytest.raises(ValueError):
+            q_inverse([[1, 2], [2, 4]])
+
     def test_rref_pivots(self):
         rows = [[0, 1, 2], [1, 0, 1]]
         rref, pivots = q_rref(rows, 3)
@@ -237,7 +255,8 @@ class TestRFLinear:
         one = RatFunc.from_poly(R3.one())
         x = RatFunc.from_poly(X)
         rows = [[one, x], [x, x * x]]
-        assert rf_rank(rows, 2) == 1
+        _, pivots = rf_rref(rows, 2)
+        assert len(pivots) == 1
 
     def test_rf_nullspace_clears_denominators(self):
         x = RatFunc.from_poly(X)
@@ -266,9 +285,8 @@ class TestRFLinear:
         assert all(o.is_poly() for o in out)
 
     def test_qmatrix(self):
-        m = QMatrix([[1, 2], [2, 4]])
-        rank, basis = m.rank_nullspace()
-        assert rank == 1 and len(basis) == 1
+        rank, basis = q_nullspace([[1, 2], [2, 4]], 2)
+        assert rank == 1 and basis == [[Q(-2), Q(1)]]
 
 
 def test_as_q_forms():
