@@ -16,9 +16,8 @@ from .errors import PreconditionError
 from .kernel import PoleError, Q, as_q
 from .parsing import ExpressionError
 from .geometry import Chart
-from .distribution import (Distribution, NonEquiregular, cube_dim,
-                           equiregular_check, is_goursat, strong_flag,
-                           tanaka_symbol, weak_flag)
+from .distribution import (Distribution, NonEquiregular, equiregular_check,
+                           is_goursat, strong_flag, tanaka_symbol, weak_flag)
 from .models import build_model, deprolongation_degree, prolong
 from .symplectic import CONVENTION_NOTE, class_at_point, fiber_sample
 from .extremals import integrate_char, nu_along
@@ -38,22 +37,33 @@ def _point_str(pt):
 
 
 def load_input_file(path):
+    """Distribution and base point of an input JSON file; malformed input
+    raises ValueError."""
     with open(path) as fh:
         data = json.load(fh)
-    coords = data["coordinates"]
+    if not isinstance(data, dict):
+        raise ValueError("input must be a JSON object")
+    coords = data.get("coordinates")
+    if not (isinstance(coords, list) and coords and
+            all(isinstance(c, str) for c in coords)):
+        raise ValueError("\"coordinates\" must be a nonempty list of names")
     chart = Chart(coords)
-    fields = data["fields"]
-    if len(fields) != 2:
+    fields = data.get("fields")
+    if not (isinstance(fields, list) and len(fields) == 2):
         raise ValueError("top-level input needs exactly 2 frame fields")
     frame = []
     for comps in fields:
-        if len(comps) != len(coords):
+        if not isinstance(comps, list) or len(comps) != len(coords):
             raise ValueError("component list length != coordinate count")
         frame.append(chart.field(*[str(c) for c in comps]))
     dist = Distribution(chart, frame)
-    point = [as_q(str(v)) for v in data.get("point", [0] * chart.dim)]
-    if len(point) != chart.dim:
+    point = data.get("point", [0] * chart.dim)
+    if not isinstance(point, list) or len(point) != chart.dim:
         raise ValueError("base point dimension mismatch")
+    try:
+        point = [as_q(str(v)) for v in point]
+    except ZeroDivisionError:
+        raise ValueError("base point coordinate with zero denominator")
     return dist, point
 
 
@@ -145,10 +155,6 @@ def cmd_analyze(args):
 
 def cmd_trace(args):
     dist, point, desc = resolve_input(args)
-    n = dist.chart.dim
-    if cube_dim(dist, point) != 5:
-        raise PreconditionError("trace requires cube dimension 5 at the "
-                                "base point")
     sample = fiber_sample(dist, point, seed=args.seed)
     traj = integrate_char(dist, sample, args.T, args.steps)
     report = nu_along(dist, traj, sample)

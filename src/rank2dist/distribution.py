@@ -7,12 +7,13 @@ is restored by multi-point sampling (see equiregular_check).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
 
-from .errors import (DegenerateFrame, NonEquiregular, NotBracketGenerating,
-                     SamplingFailure)
+from .errors import (DegenerateFrame, InvariantViolation, NonEquiregular,
+                     NotBracketGenerating, SamplingFailure)
 from .kernel import PoleError, Q, QEchelon, as_q, q_solve
 from .geometry import lie_bracket
 
@@ -35,7 +36,7 @@ class Distribution:
         for f in self.frame:
             if f.chart != chart:
                 raise ValueError("frame field on a different chart")
-        self._word_cache = {}
+        self._memo = {}
 
     @property
     def rank(self):
@@ -49,10 +50,10 @@ class Distribution:
         """
         if isinstance(word, int):
             return self.frame[word]
-        f = self._word_cache.get(word)
+        f = self._memo.get(word)
         if f is None:
             f = lie_bracket(self.word_field(word[0]), self.word_field(word[1]))
-            self._word_cache[word] = f
+            self._memo[word] = f
         return f
 
     def check_frame_at(self, q):
@@ -65,6 +66,18 @@ class Distribution:
             ech.add(v)
         if ech.rank != len(self.frame):
             raise DegenerateFrame("frame fields dependent at %s" % (list(q),))
+
+
+def per_distribution(fn):
+    """Memoize fn(dist, *args) in the distribution, which holds the one memo
+    of everything that depends only on its frame (shared: never mutate)."""
+    @functools.wraps(fn)
+    def memoized(dist, *args):
+        key = (fn.__name__,) + args
+        if key not in dist._memo:
+            dist._memo[key] = fn(dist, *args)
+        return dist._memo[key]
+    return memoized
 
 
 def word_length(word):
@@ -88,18 +101,21 @@ class FlagReport:
         return tuple(self.dims)
 
 
-def weak_flag(dist, q, max_depth=None):
+def weak_flag(dist, q, max_depth=None, gens=None):
     """Weak derived flag D^i(q) via left-normed bracket words.
 
     dims[i-1] = dim D^i(q).  Stops at stabilization, full dimension, or
-    max_depth levels.
+    max_depth levels.  `gens` are bracket words of `dist` independent at q
+    that span D^1 (default: the frame, checked at q).
     """
     n = dist.chart.dim
     if max_depth is None:
         max_depth = n
-    dist.check_frame_at(q)
+    if gens is None:
+        dist.check_frame_at(q)
+        gens = range(dist.rank)
     ech = QEchelon(n)
-    gen_idx = list(range(dist.rank))
+    gen_idx = list(gens)
     level_words = [list(gen_idx)]
     kept = []
     dims = []
@@ -179,12 +195,20 @@ def strong_flag(dist, q, max_depth=None):
     return FlagReport("strong", list(q), dims, kept_levels, stabilized)
 
 
+def square_fields(dist):
+    """X1, X2, X3=[X1,X2], X4=[X1,X3], X5=[X2,X3] of a rank-2 frame."""
+    if dist.rank != 2:
+        raise ValueError("need a rank-2 frame")
+    return tuple(dist.word_field(w)
+                 for w in (0, 1, (0, 1), (0, (0, 1)), (1, (0, 1))))
+
+
 def cube_dim(dist, q):
     """dim D^3(q); for a rank-2 frame this is at most 5."""
     report = weak_flag(dist, q, max_depth=3)
     d = report.dims[min(2, len(report.dims) - 1)]
-    if dist.rank == 2:
-        assert d <= 5, "rank-2 cube exceeded dimension 5"
+    if dist.rank == 2 and d > 5:
+        raise InvariantViolation("rank-2 cube has dimension %d > 5" % d)
     return d
 
 

@@ -19,3 +19,7 @@ class NonEquiregular(PreconditionError):
 
 class SamplingFailure(PreconditionError):
     """Random sampling exhausted its retry budget (poles / degeneracies)."""
+
+
+class InvariantViolation(PreconditionError):
+    """A computed geometric invariant breaks a bound that theory guarantees."""

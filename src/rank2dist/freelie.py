@@ -110,7 +110,9 @@ def lyndon_basis(maxlen):
 def standard_factorization(w):
     """w = u v with v the lexicographically smallest proper suffix (which is
     the standard right factor); both u and v are Lyndon."""
-    assert len(w) > 1
+    if len(w) < 2:
+        raise ValueError("a word of length %d has no standard factorization"
+                         % len(w))
     best = None
     for i in range(1, len(w)):
         suf = w[i:]

@@ -8,11 +8,12 @@ import random
 from dataclasses import dataclass
 
 from .errors import DegenerateFrame, PreconditionError
-from .kernel import (PoleError, Poly, PolyRing, Q, QEchelon, RatFunc, as_q,
+from .kernel import (PoleError, Poly, PolyRing, Q, RatFunc, as_q,
                      clear_denominators, q_inverse, rf_nullspace, rf_rref)
-from .geometry import Chart, OneForm, VectorField, lie_bracket, linear_change
+from .geometry import Chart, OneForm, VectorField, linear_change
 from .distribution import (Distribution, GradedSymbol, cube_dim,
-                           sample_point_near, weak_flag)
+                           sample_point_near, square_fields, strong_flag,
+                           weak_flag)
 from .freelie import FreeLieTruncated, bch_words
 
 
@@ -134,11 +135,6 @@ class DeprolongResult:
     note: str = ""
 
 
-def _square_frame(dist):
-    x1, x2 = dist.frame[0], dist.frame[1]
-    return [x1, x2, lie_bracket(x1, x2)]
-
-
 def _check_cube4_near(dist, q, samples=2, seed=0):
     rng = random.Random(seed)
     pts = [list(q)]
@@ -166,11 +162,9 @@ def cauchy_characteristic(dist):
     exact function-field solution.  Returns Z (denominators cleared)."""
     chart = dist.chart
     n = chart.dim
-    x1, x2, x3 = _square_frame(dist)
-    b1 = lie_bracket(x1, x3)
-    b2 = lie_bracket(x2, x3)
-    # columns: B1, B2, X1, X2, X3 -- nullspace vectors give (a, b, *)
-    cols = [b1, b2, x1, x2, x3]
+    x1, x2, x3, x4, x5 = square_fields(dist)
+    # columns: X4, X5, X1, X2, X3 -- nullspace vectors give (a, b, *)
+    cols = [x4, x5, x1, x2, x3]
     rows = [[f.components[i] for f in cols] for i in range(n)]
     rank, basis = rf_nullspace(rows, 5)
     for vec in basis:
@@ -221,8 +215,7 @@ def _deprolong_rectified(dist, q, z):
     m = [[cols[c][r] for c in range(n)] for r in range(n)]
     a = q_inverse(m)
     frame = [linear_change(f, a) for f in dist.frame]
-    moved = Distribution(chart, frame)
-    f1, f2, f3 = _square_frame(moved)
+    f1, f2, f3 = square_fields(Distribution(chart, frame))[:3]
     w = chart.coords[-1]
     # rref with the w-column first so the characteristic row separates
     order = [n - 1] + list(range(n - 1))
@@ -255,8 +248,7 @@ def _deprolong_rectified(dist, q, z):
 
 
 def _deprolong_invariants(dist, q):
-    sq = Distribution(dist.chart, _square_frame(dist))
-    rep = weak_flag(sq, q)
+    rep = weak_flag(dist, q, gens=(0, 1, (0, 1)))      # the flag of D^2
     growth = tuple(d - 1 for d in rep.dims)
     cube = rep.dims[min(2, len(rep.dims) - 1)] - 1
     return DeprolongResult(rectified=False, growth=growth, cube=cube,
@@ -268,18 +260,19 @@ def deprolongation_degree(dist, q, cap=None, seed=0):
     """Iterate deprolongation (via invariants of iterated squares) until
     the cube is 5-dimensional or the Engel model appears.
 
+    The s-th iterated square E_s (frame plus pairwise brackets, pruned
+    pointwise at q) is spanned by the words of the first s+1 levels of the
+    strong flag at q, so every flag runs over bracket words of `dist`.
     Returns (s, terminal) with terminal in {"cube5", "engel"}.
     """
-    chart = dist.chart
-    n = chart.dim
+    n = dist.chart.dim
     if cap is None:
         cap = n
-    frame = list(dist.frame)
-    s = 0
-    while s <= cap:
-        e = Distribution(chart, frame)
-        rep = weak_flag(e, q, max_depth=3 if n - s > 4 else None)
-        dims = rep.dims
+    levels = strong_flag(dist, q).words
+    for s in range(cap + 1):
+        words = [w for level in levels[:s + 1] for w in level]
+        dims = weak_flag(dist, q, max_depth=3 if n - s > 4 else None,
+                         gens=words).dims
         cube_s = dims[min(2, len(dims) - 1)] - s
         if cube_s == 5:
             return s, "cube5"
@@ -294,17 +287,6 @@ def deprolongation_degree(dist, q, cap=None, seed=0):
             raise PreconditionError(
                 "deprolongation stalled: cube dimension %d at step %d"
                 % (cube_s, s))
-        # next square: frame + pairwise brackets, pruned pointwise at q
-        new_fields = list(frame)
-        for i in range(len(frame)):
-            for j in range(i + 1, len(frame)):
-                b = lie_bracket(frame[i], frame[j])
-                if not b.is_zero():
-                    new_fields.append(b)
-        ech = QEchelon(n)
-        pruned = [f for f in new_fields if ech.add(f.at(q))]
-        frame = pruned
-        s += 1
     raise PreconditionError("deprolongation cap %d exceeded" % cap)
 
 

@@ -13,12 +13,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .errors import PreconditionError, SamplingFailure
-from .kernel import (PoleError, Q, QEchelon, RatFunc, as_q,
-                     clear_denominators, q_nullspace, rf_nullspace,
-                     rf_solve_minimal)
+from .errors import InvariantViolation, PreconditionError, SamplingFailure
+from .kernel import (Q, QEchelon, RatFunc, as_q, clear_denominators,
+                     q_nullspace, rf_nullspace, rf_solve_minimal)
 from .geometry import Chart, VectorField, lie_bracket
-from .distribution import cube_dim
+from .distribution import per_distribution, square_fields
 
 CONVENTION_NOTE = ("cone convention: computed on the full cotangent bundle; "
                    "the Euler (fiber-scaling) direction adds +1 to every "
@@ -28,13 +27,7 @@ CONVENTION_NOTE = ("cone convention: computed on the full cotangent bundle; "
 class CotangentChart:
     """Chart on T*M: base coordinates followed by conjugate momenta p_<x>."""
 
-    _cache = {}
-
-    def __new__(cls, base):
-        got = cls._cache.get(base.coords)
-        if got is not None:
-            return got
-        self = object.__new__(cls)
+    def __init__(self, base):
         momenta = tuple("p_" + c for c in base.coords)
         if set(momenta) & set(base.coords):
             raise ValueError("momentum names collide with base coordinates")
@@ -42,8 +35,6 @@ class CotangentChart:
         self.momenta = momenta
         self.chart = Chart(tuple(base.coords) + momenta)
         self.n = base.dim
-        cls._cache[base.coords] = self
-        return self
 
     @property
     def ring(self):
@@ -100,21 +91,14 @@ class CotangentChart:
         return [as_q(v) for v in point[self.n:]] + [Q(0)] * self.n
 
 
-def square_fields(dist):
-    """X1, X2, X3=[X1,X2], X4=[X1,X3], X5=[X2,X3] on the base chart."""
-    if dist.rank != 2:
-        raise ValueError("need a rank-2 frame")
-    x1, x2 = dist.frame
-    x3 = lie_bracket(x1, x2)
-    return x1, x2, x3, lie_bracket(x1, x3), lie_bracket(x2, x3)
-
-
+@per_distribution
 def hamiltonians(dist):
     """The five lifted Hamiltonians h1..h5 of the bracket tower."""
     ct = CotangentChart(dist.chart)
-    return ct, [ct.hamiltonian_of(x) for x in square_fields(dist)]
+    return ct, tuple(ct.hamiltonian_of(x) for x in square_fields(dist))
 
 
+@per_distribution
 def char_field(dist):
     """Characteristic field X_C = h5 * ham(h1) - h4 * ham(h2).
 
@@ -123,10 +107,8 @@ def char_field(dist):
     restricted symplectic form together with the Euler direction, and is
     nonzero wherever (h4, h5) != (0, 0).
     """
-    ct, hs = hamiltonians(dist)
-    h1, h2, h3, h4, h5 = hs
-    xc = ct.ham_field(h1).scaled(h5) - ct.ham_field(h2).scaled(h4)
-    return ct, xc
+    ct, (h1, h2, h3, h4, h5) = hamiltonians(dist)
+    return ct, ct.ham_field(h1).scaled(h5) - ct.ham_field(h2).scaled(h4)
 
 
 @dataclass
@@ -156,19 +138,20 @@ def fiber_sample(dist, q, seed=0, rng=None, budget=200):
 
     Draws seeded random rational combinations of an exact nullspace basis
     of the value matrix of (X1, X2, [X1, X2]) at q until (h4, h5) != (0,0).
+    D^3(q) is spanned by the values of X1..X5, so their rank is dim D^3(q).
     """
-    cube = cube_dim(dist, q)
+    n = dist.chart.dim
+    values = [f.at(q) for f in square_fields(dist)]
+    ech = QEchelon(n)
+    cube = sum(1 for v in values if ech.add(v))
     if cube != 5:
         raise PreconditionError("dim D^3 = %d at the base point (need 5)"
                                 % cube)
-    n = dist.chart.dim
-    x1, x2, x3, x4, x5 = square_fields(dist)
-    rows = [f.at(q) for f in (x1, x2, x3)]
-    rank, basis = q_nullspace(rows, n)
+    rank, basis = q_nullspace(values[:3], n)
     if rank != 3 or len(basis) != n - 3:
         raise PreconditionError("annihilator of D^2 at q has dimension %d"
                                 % len(basis))
-    v4, v5 = x4.at(q), x5.at(q)
+    v4, v5 = values[3:]
     if rng is None:
         rng = random.Random(seed)
     for _ in range(budget):
@@ -186,53 +169,49 @@ def fiber_sample(dist, q, seed=0, rng=None, budget=200):
                           "in %d draws" % budget)
 
 
+@per_distribution
 def annihilator_basis(dist):
     """Rational-function basis (n-3 covectors) of the annihilator of D^2,
     denominators cleared."""
-    n = dist.chart.dim
-    x1, x2, x3, _, _ = square_fields(dist)
-    rows = [list(f.components) for f in (x1, x2, x3)]
-    rank, basis = rf_nullspace(rows, n)
+    rows = [list(f.components) for f in square_fields(dist)[:3]]
+    rank, basis = rf_nullspace(rows, dist.chart.dim)
     if rank != 3:
         raise PreconditionError("frame square is degenerate over the "
                                 "function field")
-    return basis
+    return tuple(tuple(eta) for eta in basis)
 
 
-def cone_J_generators(dist, sample):
-    """n-1 generators of the lifted distribution at a covector sample:
-    n-3 vertical annihilator fields plus two corrected Hamiltonian lifts
-    W_a = ham(h_a) + vertical correction, each tangent to {h1=h2=h3=0}.
-    """
-    ct, hs = hamiltonians(dist)
-    h1, h2, h3, h4, h5 = hs
+@per_distribution
+def _lift(dist):
+    """The n-1 lifted generators: n-3 vertical annihilator fields plus two
+    corrected Hamiltonian lifts W_a = ham(h_a) + vertical correction, each
+    tangent to {h1=h2=h3=0}."""
+    ct, (h1, h2, h3, h4, h5) = hamiltonians(dist)
     n = ct.n
-    x1, x2, x3, _, _ = square_fields(dist)
-    lam = sample.point
-    gens = []
     zero = RatFunc.from_const(ct.ring, 0)
-    for eta in annihilator_basis(dist):
-        comps = [zero] * n + [ct.lift_function(e) for e in eta]
-        vf = VectorField(ct.chart, comps)
-        try:
-            vf.at(lam)
-        except PoleError:
-            raise SamplingFailure("annihilator basis has a pole at the "
-                                  "sample; resample the base point")
-        gens.append(vf)
+    # annihilator covectors are polynomial: these fields have no poles
+    gens = [VectorField(ct.chart, [zero] * n +
+                        [ct.lift_function(e) for e in eta])
+            for eta in annihilator_basis(dist)]
     # vertical corrections: <c, X1> = 0, <c, X2> = 0, <c, X3> = -(ham(h_a) h3)
-    rows = [[ct.lift_function(c) for c in x.components] for x in (x1, x2, x3)]
+    rows = [[ct.lift_function(c) for c in x.components]
+            for x in square_fields(dist)[:3]]
     for ha, rhs3 in ((h1, -h4), (h2, -h5)):
         c = rf_solve_minimal(rows, [zero, zero, rhs3], n)
         if c is None:
             raise PreconditionError("no vertical correction exists "
                                     "(degenerate square)")
-        w = ct.ham_field(ha) + VectorField(ct.chart, [zero] * n + c)
-        gens.append(w)
-    # pointwise independence at the sample
-    ech = QEchelon(2 * n)
+        gens.append(ct.ham_field(ha) + VectorField(ct.chart, [zero] * n + c))
+    return tuple(gens)
+
+
+def cone_J_generators(dist, sample):
+    """n-1 generators of the lifted distribution, checked to be independent
+    at a covector sample (see `_lift`)."""
+    gens = _lift(dist)
+    ech = QEchelon(2 * dist.chart.dim)
     for g in gens:
-        if not ech.add(g.at(lam)):
+        if not ech.add(g.at(sample.point)):
             raise SamplingFailure("lifted generators degenerate at the "
                                   "sample; resample")
     return gens
@@ -240,6 +219,16 @@ def cone_J_generators(dist, sample):
 
 def _cleared(vf):
     return VectorField(vf.chart, clear_denominators(list(vf.components)))
+
+
+@per_distribution
+def _ad_char(dist, j, i):
+    """ad_{X_C}^i of the j-th lifted generator with denominators cleared
+    after each bracket, or None if it vanishes."""
+    if i == 0:
+        return _cleared(_lift(dist)[j])
+    b = lie_bracket(char_field(dist)[1], _ad_char(dist, j, i - 1))
+    return None if b.is_zero() else _cleared(b)
 
 
 def _class_iteration(dist, sample, depth_cap=None, keep_tower=False):
@@ -253,58 +242,64 @@ def _class_iteration(dist, sample, depth_cap=None, keep_tower=False):
     pointwise-independent generators at the sample plus the chain of
     bracket fields added per round, ending with one bracket that did not
     increase the rank (for stabilization detection at other points).
+
+    The symbolic fields are shared per distribution (`_ad_char`); each is
+    evaluated once at the sample.
     """
     n = dist.chart.dim
     if depth_cap is None:
         depth_cap = n
-    ct, xc = char_field(dist)
+    _, xc = char_field(dist)
     lam = sample.point
     if not any(xc.at(lam)):
         raise PreconditionError("characteristic field vanishes at the sample")
-    gens = [_cleared(g) for g in cone_J_generators(dist, sample)]
-    for g in gens:
-        if not any(g.at(lam)):
+    gens = cone_J_generators(dist, sample)
+    ech = QEchelon(2 * n)
+    kept = []           # (generator index, field, value at the sample)
+    for j in range(len(gens)):
+        g = _ad_char(dist, j, 0)
+        v = g.at(lam)
+        if not any(v):
             raise SamplingFailure("denominator clearing killed a generator "
                                   "at the sample; resample")
-    ech = QEchelon(2 * n)
-    kept = []
-    for g in gens:
-        v = g.at(lam)
         if ech.add(v):
-            kept.append(g)
+            kept.append((j, g, v))
     dims = [ech.rank]
-    levels = [[g.at(lam) for g in kept]]
-    frontier = list(kept)
+    levels = [[v for _, _, v in kept]]
+    frontier = kept
     tower = []
     stale = []
     nu = None
     for i in range(1, depth_cap + 1):
         new = []
         round_stale = []
-        for g in frontier:
-            b = lie_bracket(xc, g)
-            if b.is_zero():
+        for j, _, _ in frontier:
+            b = _ad_char(dist, j, i)
+            if b is None:
                 continue
-            b = _cleared(b)
-            if ech.add(b.at(lam)):
-                new.append(b)
+            v = b.at(lam)
+            if ech.add(v):
+                new.append((j, b, v))
             else:
                 round_stale.append(b)
-        inc = len(new)
-        assert inc <= 1, "flag rank jumped by %d in one round" % inc
+        if len(new) > 1:
+            raise InvariantViolation("flag rank jumped by %d in one round"
+                                     % len(new))
         dims.append(ech.rank)
-        levels.append(levels[-1] + [g.at(lam) for g in new])
+        levels.append(levels[-1] + [v for _, _, v in new])
         if not new:
             nu = i - 1
             stale = round_stale
             break
-        tower.extend(new)
+        tower.extend(b for _, b, _ in new)
         frontier = new
     if nu is None:
         raise PreconditionError("flag failed to stabilize within depth "
                                 "cap %d" % depth_cap)
-    assert nu <= n - 3, "class %d exceeds the bound n-3 = %d" % (nu, n - 3)
-    assert dims[0] == n - 1 and dims[-1] <= 2 * n - 4
+    if nu > n - 3 or dims[0] != n - 1 or dims[-1] > 2 * n - 4:
+        raise InvariantViolation("class %d or cone dims %s break nu <= n-3 "
+                                 "or n-1 <= dims <= 2n-4" % (nu, dims))
+    kept = [g for _, g, _ in kept]
     if keep_tower:
         return nu, tuple(dims), levels, (kept, tower + stale[:1])
     return nu, tuple(dims), levels, kept

@@ -5,6 +5,8 @@ Run with `pytest -s tests/test_acceptance.py` to see the lines as they go.
 
 import random
 
+import pytest
+
 from rank2dist.distribution import tanaka_symbol, weak_flag
 from rank2dist.geometry import Chart, lie_bracket
 from rank2dist.kernel import Q
@@ -56,6 +58,7 @@ def test_criterion_2_free_step4_flat_model():
            "free step-4 flat model (n=8): m=%d" % rep.m)
 
 
+@pytest.mark.slow
 def test_criterion_2_stretch_free_step5():
     dist = flat_from_symbol(free_nilpotent_symbol(5))
     rep = class_at_point(dist, origin(dist), samples=2, seed=0)
@@ -108,6 +111,7 @@ def test_criterion_4_deprolongation_round_trip():
     report("4", True, "prolong^n then deprolong^n recovers the model growth")
 
 
+@pytest.mark.slow
 def test_criterion_5_symmetry_dimensions():
     expected = {5: 14, 6: 11, 7: 13}
     stable_deg = {}

@@ -98,10 +98,13 @@ class TestTrace:
         assert rep["nu_trace"][0] == 5
         assert rep["nu_marginal"][0] is False
 
-    def test_trace_needs_cube5(self, tmp_path):
+    def test_trace_needs_cube5(self, tmp_path, capsys):
         code, rep = run_cli(["trace", "--model", "cartan-jet", "--k", "3"],
                             tmp_path)
         assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("precondition failed:")
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestSymmetries:
@@ -144,6 +147,22 @@ class TestErrors:
         }))
         code, _ = run_cli(["analyze", "--input", str(p)], tmp_path)
         assert code == 1
+
+    @pytest.mark.parametrize("spec", [
+        {"coordinates": ["x", "y", "z"]},
+        [["1", "0", "y"], ["0", "1", "0"]],
+        {"coordinates": ["x", "y", "z"],
+         "fields": [["1", "0", "y"], ["0", "1", "0"]],
+         "point": ["1/0", "0", "0"]},
+    ], ids=["no-fields", "not-an-object", "zero-denominator-point"])
+    def test_malformed_input_is_one_line(self, tmp_path, capsys, spec):
+        p = tmp_path / "malformed.json"
+        p.write_text(json.dumps(spec))
+        code, _ = run_cli(["analyze", "--input", str(p)], tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert len(err.strip().splitlines()) == 1
 
     def test_missing_file(self, tmp_path):
         code, _ = run_cli(["analyze", "--input",

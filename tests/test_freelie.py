@@ -1,7 +1,10 @@
 """Free 2-generator Lie algebra: Lyndon basis, structure constants, BCH."""
 
+import pytest
+
 from rank2dist.freelie import (FreeLieTruncated, bch_words, bracket_word,
-                               expand_word, lyndon_basis, ta_commutator,
+                               expand_word, lyndon_basis,
+                               standard_factorization, ta_commutator,
                                ta_exp, ta_log, ta_mul)
 from rank2dist.kernel import Q
 
@@ -20,6 +23,11 @@ class TestLyndon:
     def test_bracket_word_depth2(self):
         assert bracket_word((0, 1)) == (0, 1)
         assert bracket_word((0, 0, 1)) == (0, (0, 1))
+
+    def test_letter_has_no_standard_factorization(self):
+        assert standard_factorization((0, 0, 1)) == ((0,), (0, 1))
+        with pytest.raises(ValueError):
+            standard_factorization((0,))
 
 
 class TestTensorAlgebra:

@@ -1,5 +1,6 @@
 """Source hygiene checks that stand in for a linter: no unused imports in the
-package, and packed-monomial bit access only inside the kernel."""
+package, packed-monomial bit access only inside the kernel, and no `assert`
+statements (they vanish under `python -O`; invariants raise errors)."""
 
 import ast
 import re
@@ -40,6 +41,22 @@ def test_packed_monomials_stay_in_kernel(path):
     hits = [i for i, line in enumerate(path.read_text().splitlines(), 1)
             if re.search(r"0xFFFF|\b_MASK\b|\b_BITS\b", line, re.IGNORECASE)]
     assert hits == []
+
+
+def _asserts(path):
+    return [n.lineno for n in ast.walk(ast.parse(path.read_text()))
+            if isinstance(n, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    assert _asserts(path) == []
+
+
+def test_assert_check_sees_an_assert(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("x = 1\nassert x, 'msg'\n")
+    assert _asserts(src) == [2]
 
 
 def test_unused_import_check_sees_an_unused_name(tmp_path):

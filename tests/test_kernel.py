@@ -184,6 +184,7 @@ class TestRatFunc:
             assert (f / g) * g == f
 
     # derivation check squares the product denominator; keep degrees small
+    @pytest.mark.slow
     @given(ratfuncs(max_terms=3, max_exp=2), ratfuncs(max_terms=3, max_exp=2))
     @settings(max_examples=30, deadline=None)
     def test_diff_is_derivation(self, f, g):

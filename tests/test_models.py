@@ -103,6 +103,14 @@ class TestDeprolong:
         e = cartan_jet(2)
         assert deprolongation_degree(e, origin(e)) == (0, "engel")
 
+    def test_repeat_brackets_nothing(self, bracket_calls):
+        # the iterated squares are words of the distribution's own cache
+        e = cartan_jet(8)
+        assert deprolongation_degree(e, origin(e)) == (6, "engel")
+        bracket_calls[0] = 0
+        assert deprolongation_degree(e, origin(e)) == (6, "engel")
+        assert bracket_calls[0] == 0
+
 
 class TestFlatModels:
     def test_free_symbol_dims(self):

@@ -162,6 +162,22 @@ class TestClass:
         nu_b, _ = class_at_sample(dist, s, depth_cap=dist.chart.dim + 2)
         assert nu_a == nu_b
 
+    def test_samples_share_the_symbolic_work(self, bracket_calls):
+        # the lift and the [X_C, g] tower are built once per distribution;
+        # later samples bracket only the tower chains the earlier ones did
+        # not reach, and a repeat brackets nothing
+        q = [Q(0)] * 7
+        class_at_point(monge_model(7), q, samples=1)
+        one = bracket_calls[0]
+        dist = monge_model(7)
+        bracket_calls[0] = 0
+        class_at_point(dist, q, samples=5)
+        five = bracket_calls[0]
+        bracket_calls[0] = 0
+        class_at_point(dist, q, samples=5)
+        assert five < 2 * one
+        assert bracket_calls[0] == 0
+
     def test_increment_at_most_one(self):
         dist = monge_model(7)
         s = fiber_sample(dist, origin(dist), seed=4)
