@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import __version__
@@ -36,6 +37,9 @@ def _point_str(pt):
     return [_q_str(v) for v in pt]
 
 
+_POINT_COORD = re.compile(r"[+-]?(?:\d+/\d+|\d*\.?\d+)")
+
+
 def load_input_file(path):
     """Distribution and base point of an input JSON file; malformed input
     raises ValueError."""
@@ -60,8 +64,14 @@ def load_input_file(path):
     point = data.get("point", [0] * chart.dim)
     if not isinstance(point, list) or len(point) != chart.dim:
         raise ValueError("base point dimension mismatch")
+    point = [str(v) for v in point]
+    for v in point:
+        # exponent forms such as 1e99999999 would build huge integers
+        if not _POINT_COORD.fullmatch(v):
+            raise ValueError("base point coordinate %.40r is not an integer, "
+                             "p/q or a decimal without exponent" % v)
     try:
-        point = [as_q(str(v)) for v in point]
+        point = [as_q(v) for v in point]
     except ZeroDivisionError:
         raise ValueError("base point coordinate with zero denominator")
     return dist, point
@@ -257,7 +267,7 @@ def main(argv=None):
     except (PreconditionError, PoleError) as e:
         print("precondition failed: %s" % e, file=sys.stderr)
         return EXIT_PRECONDITION
-    except (ExpressionError, ValueError, OSError) as e:
+    except (ExpressionError, ValueError, OverflowError, OSError) as e:
         print("input error: %s" % e, file=sys.stderr)
         return EXIT_INPUT
     emit(report, args)

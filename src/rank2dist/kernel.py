@@ -10,6 +10,9 @@ The monomial order used for leading terms is graded lexicographic.
 
 from __future__ import annotations
 
+import heapq
+from math import isqrt, lcm
+
 try:
     from gmpy2 import mpq as Q
 except ImportError:  # pragma: no cover
@@ -17,6 +20,8 @@ except ImportError:  # pragma: no cover
 
 _BITS = 16
 _MASK = (1 << _BITS) - 1
+# the largest exponent of one variable that a packed monomial holds
+MAX_EXPONENT = _MASK
 
 _ZERO = Q(0)
 _ONE = Q(1)
@@ -227,6 +232,10 @@ class Poly:
     def __pow__(self, e):
         if e < 0:
             raise ValueError("negative exponent on Poly")
+        if e > 1 and e * max(map(self.degree_in, range(self.ring.n)),
+                             default=0) > MAX_EXPONENT:
+            raise OverflowError("exponent of a variable exceeds %d"
+                                % MAX_EXPONENT)
         result = self.ring.one()
         base = self
         while e:
@@ -350,6 +359,20 @@ class Poly:
                 parts.append(str(c) + "*" + "*".join(factors))
         s = " + ".join(parts)
         return s.replace("+ -", "- ")
+
+
+def add_product(acc, p, q, scale=1):
+    """acc += scale * p * q in place, on term dicts {packed monomial:
+    coefficient}; integer coefficients stay in integer arithmetic."""
+    for k1, c1 in p.items():
+        c1 *= scale
+        for k2, c2 in q.items():
+            k = k1 + k2
+            nc = acc.get(k, 0) + c1 * c2
+            if nc:
+                acc[k] = nc
+            else:
+                del acc[k]
 
 
 # ---------------------------------------------------------------------------
@@ -825,6 +848,193 @@ def q_inverse(m):
     if pivots[:n] != list(range(n)):
         raise ValueError("singular matrix")
     return [r[n:] for r in rref]
+
+
+# ---------------------------------------------------------------------------
+# sparse nullspace over Q by elimination modulo word-size primes
+# ---------------------------------------------------------------------------
+
+# memo of _word_primes; the sequence is fixed, so every caller may share it
+_PRIMES = []
+
+
+def _word_primes():
+    """The primes below 2**30, largest first, so residues and their
+    products stay small CPython ints."""
+    i = 0
+    while True:
+        if i == len(_PRIMES):
+            p = _PRIMES[-1] if _PRIMES else (1 << 30) + 1
+            while True:
+                p -= 2
+                if all(p % d for d in range(3, isqrt(p) + 1, 2)):
+                    break
+            _PRIMES.append(p)
+        yield _PRIMES[i]
+        i += 1
+
+
+def _echelon_mod(rows, ncols, p):
+    """Row echelon form of integer rows mod p, as {pivot: row}: each row is
+    {col: residue} without its pivot entry, which is 1, and its pivot is
+    its minimum column.  Stops once the rank reaches ncols."""
+    piv = {}
+    for src in rows:
+        row = {}
+        for c, a in src.items():
+            a %= p
+            if a:
+                row[c] = a
+        hits = [c for c in row if c in piv]
+        heapq.heapify(hits)
+        while hits:
+            c = heapq.heappop(hits)
+            a = row.pop(c, 0)
+            if not a:
+                continue
+            # pivot rows hold only columns right of their pivot, so popping
+            # in increasing order eliminates every pivot column once
+            for cc, v in piv[c].items():
+                nv = (row.get(cc, 0) - a * v) % p
+                if nv:
+                    if cc not in row and cc in piv:
+                        heapq.heappush(hits, cc)
+                    row[cc] = nv
+                else:
+                    row.pop(cc, None)
+        if row:
+            c = min(row)
+            inv = pow(row.pop(c), -1, p)
+            piv[c] = {cc: v * inv % p for cc, v in row.items()}
+            if len(piv) == ncols:
+                break
+    return piv
+
+
+def _back_substitute_mod(piv, p):
+    """Turn an echelon form from _echelon_mod into the reduced one, in
+    place: afterwards each row holds free columns only."""
+    for c in sorted(piv, reverse=True):
+        row = piv[c]
+        for pc in [cc for cc in row if cc in piv]:
+            a = row.pop(pc)
+            for cc, v in piv[pc].items():
+                nv = (row.get(cc, 0) - a * v) % p
+                if nv:
+                    row[cc] = nv
+                else:
+                    row.pop(cc, None)
+
+
+def _rational_reconstruction(u, m):
+    """The fraction a/b = u (mod m) with |a|, b <= sqrt(m/2), or None."""
+    bound = isqrt(m >> 1)
+    r0, r1, s0, s1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > bound:
+        return None
+    return Q(r1, s1)
+
+
+def _lift(residues, modulus):
+    """Rational nullspace vectors {col: Q} from {free col: {pivot col:
+    residue}}, with 1 on the free column; None if some entry does not
+    reconstruct."""
+    basis = []
+    for f, vec in residues.items():
+        v = {f: _ONE}
+        for c, u in vec.items():
+            x = _rational_reconstruction(u, modulus)
+            if x is None:
+                return None
+            if x:
+                v[c] = x
+        basis.append(dict(sorted(v.items())))
+    return basis
+
+
+def _in_kernel(int_rows, basis):
+    """True iff every integer row annihilates every rational vector."""
+    by_col = {}
+    for ri, row in enumerate(int_rows):
+        for c, a in row.items():
+            by_col.setdefault(c, []).append((ri, a))
+    for v in basis:
+        den = 1
+        for x in v.values():
+            den = lcm(den, int(x.denominator))
+        acc = {}
+        for c, x in v.items():
+            xi = int(x.numerator) * (den // int(x.denominator))
+            for ri, a in by_col.get(c, ()):
+                acc[ri] = acc.get(ri, 0) + a * xi
+        if any(acc.values()):
+            return False
+    return True
+
+
+def q_sparse_nullspace(rows, ncols):
+    """Right nullspace of a sparse system over Q, rows given as {col: x}
+    dicts with x a Q or an int.
+
+    Returns the canonical basis, as {col: Q} dicts in increasing order of
+    their free column: the nullspace of the reduced row echelon form, with
+    identity on the free columns ([] at full rank).
+
+    Eliminates modulo primes below 2**30, largest first.  Full rank mod p
+    is full rank over Q (rank_p <= rank_Q), so most systems end there.
+    Otherwise the reduced form mod p is lifted by rational reconstruction,
+    combining primes with the same pivot set by Chinese remaindering, and
+    returned once every row annihilates every vector exactly.  An unlucky
+    prime only pushes pivots to later columns, so the lexicographically
+    smallest pivot set seen wins; a prime dividing a denominator is
+    skipped.  A certified vector for free column f is a kernel vector
+    supported on f and pivots left of f, so f is a true free column, and
+    rank_p <= rank_Q then makes the free sets equal.
+    """
+    int_rows = []
+    den_all = 1
+    for row in rows:
+        den = 1
+        for x in row.values():
+            den = lcm(den, int(x.denominator))
+        den_all = lcm(den_all, den)
+        int_rows.append({c: int(x.numerator) * (den // int(x.denominator))
+                         for c, x in row.items() if x})
+    # short rows first keeps the pivot rows sparse
+    int_rows.sort(key=len)
+    best_key = modulus = residues = None
+    for p in _word_primes():
+        if den_all % p == 0:
+            continue
+        piv = _echelon_mod(int_rows, ncols, p)
+        if len(piv) == ncols:
+            return []
+        key = sorted(piv) + [ncols]
+        if best_key is not None and key > best_key:
+            continue
+        _back_substitute_mod(piv, p)
+        vecs = {f: {} for f in range(ncols) if f not in piv}
+        for pc, row in piv.items():
+            for f, a in row.items():
+                vecs[f][pc] = p - a
+        if key != best_key:
+            best_key, modulus, residues = key, p, vecs
+        else:
+            # Chinese remaindering: x = r (mod modulus), x = s (mod p)
+            inv = pow(modulus, -1, p)
+            for f, vec in residues.items():
+                new = vecs[f]
+                for c in vec.keys() | new.keys():
+                    r = vec.get(c, 0)
+                    vec[c] = r + modulus * ((new.get(c, 0) - r) * inv % p)
+            modulus *= p
+        basis = _lift(residues, modulus)
+        if basis is not None and _in_kernel(int_rows, basis):
+            return basis
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,15 @@
 
 Grammar: integers, rationals p/q, identifiers [A-Za-z_][A-Za-z0-9_]*,
 operators + - * / ^ with standard precedence, parentheses.  `^` takes
-nonnegative integer exponents only.  Parses to a RatFunc over a given ring.
+nonnegative integer exponents up to 65535 only.  Parses to a RatFunc over
+a given ring.
 """
 
 from __future__ import annotations
 
 import re
 
-from .kernel import PolyRing, RatFunc
+from .kernel import MAX_EXPONENT, PolyRing, RatFunc
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([()+\-*/^]))")
 
@@ -99,6 +100,9 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind == "num":
             self.advance()
+            if val > MAX_EXPONENT:
+                raise ExpressionError("exponent %d exceeds %d"
+                                      % (val, MAX_EXPONENT), pos)
             return base ** val
         raise ExpressionError("exponent must be a nonnegative integer", pos)
 

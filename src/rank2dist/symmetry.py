@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import PreconditionError
-from .kernel import (Poly, Q, QEchelon, RatFunc, q_nullspace, q_solve,
-                     rf_nullspace)
+from .kernel import (Poly, Q, QEchelon, RatFunc, add_product, q_nullspace,
+                     q_solve, q_sparse_nullspace, rf_nullspace)
 from .geometry import OneForm, VectorField, lie_bracket, pair
 from .distribution import structure_bracket
 
@@ -86,7 +87,6 @@ def detect_weights(dist):
             if w[0] < 0:
                 w = [-x for x in w]
             # scale to integers
-            from math import lcm
             den = 1
             for x in w:
                 den = lcm(den, int(x.denominator))
@@ -127,89 +127,6 @@ def _monomials_up_to(ring, d):
     return out
 
 
-def _bracket_monomial_field(ring, mono_key, comp_idx, frame_polys, n):
-    """[m * d/dx_i, X] for a monomial field, as a list of Polys."""
-    m = Poly(ring, {mono_key: Q(1)})
-    var_i = ring.names[comp_idx]
-    out = []
-    for l in range(n):
-        acc = m * frame_polys[l].diff(var_i)
-        if l == comp_idx:
-            for j in range(n):
-                xj = frame_polys[j]
-                if not xj.is_zero():
-                    dm = m.diff(ring.names[j])
-                    if not dm.is_zero():
-                        acc = acc - xj * dm
-        out.append(acc)
-    return out
-
-
-class _SparseEliminator:
-    """Incremental sparse reduced elimination over Q, rows as dicts."""
-
-    def __init__(self):
-        self.pivots = {}  # col -> normalized sparse row (dict)
-
-    def add(self, row):
-        row = dict(row)
-        # fully reduce against existing pivot rows; pivot rows are kept
-        # free of other pivot columns, so one elimination per pivot column
-        # present suffices (new entries are free columns only)
-        while True:
-            hit = None
-            for c in row:
-                if c in self.pivots:
-                    hit = c
-                    break
-            if hit is None:
-                break
-            coef = row.pop(hit)
-            for cc, vv in self.pivots[hit].items():
-                if cc == hit:
-                    continue
-                nv = row.get(cc, Q(0)) - coef * vv
-                if nv:
-                    row[cc] = nv
-                else:
-                    row.pop(cc, None)
-        if not row:
-            return False
-        col = min(row)
-        inv = 1 / row[col]
-        row = {c: v * inv for c, v in row.items()}
-        # back-substitute into existing rows to keep them pivot-free
-        for pc, pr in self.pivots.items():
-            c = pr.get(col)
-            if c:
-                nr = dict(pr)
-                nr.pop(col)
-                for cc, vv in row.items():
-                    if cc == col:
-                        continue
-                    nv = nr.get(cc, Q(0)) - c * vv
-                    if nv:
-                        nr[cc] = nv
-                    else:
-                        nr.pop(cc, None)
-                self.pivots[pc] = nr
-        self.pivots[col] = row
-        return True
-
-    def nullspace(self, ncols):
-        pivset = set(self.pivots)
-        free = [c for c in range(ncols) if c not in pivset]
-        basis = []
-        for fc in free:
-            v = {fc: Q(1)}
-            for pc, pr in self.pivots.items():
-                c = pr.get(fc)
-                if c:
-                    v[pc] = -c
-            basis.append(v)
-        return basis
-
-
 @dataclass
 class SymmetryBasis:
     """Exact basis of polynomial symmetry fields of total degree <= degree."""
@@ -231,59 +148,103 @@ def symmetry_basis(dist, d, forms=None, weights="auto"):
     chart = dist.chart
     ring = chart.ring
     n = chart.dim
-    frame_polys = _poly_components(dist.frame)
     if forms is None:
         forms = annihilator_forms(dist)
     if weights == "auto":
         weights = detect_weights(dist)
     monos = _monomials_up_to(ring, d)
     unknowns = [(key, i) for i in range(n) for key in monos]
-    if weights is not None:
-        hforms = []
-        for f in forms:
-            hforms.extend(_split_form_by_weight(f, weights))
+    if weights is None:
+        blocks = {0: unknowns}
+    else:
+        forms = [h for f in forms for h in _split_form_by_weight(f, weights)]
         blocks = {}
         for key, i in unknowns:
             exps = ring.decode(key)
             wt = sum(w * e for w, e in zip(weights, exps)) - weights[i]
             blocks.setdefault(wt, []).append((key, i))
-        sols = []
-        for wt in sorted(blocks):
-            sols.extend(_solve_block(ring, blocks[wt], frame_polys,
-                                     hforms, n))
-    else:
-        sols = _solve_block(ring, unknowns, frame_polys, forms, n)
+    system = _SymmetrySystem(ring, _poly_components(dist.frame), forms)
     fields = []
-    for sol in sols:
-        comps_terms = [dict() for _ in range(n)]
-        for (key, i), c in sol:
-            comps_terms[i][key] = c
-        comps = [RatFunc.from_poly(Poly(ring, t)) for t in comps_terms]
-        fields.append(VectorField(chart, comps))
+    for wt in sorted(blocks):
+        block = blocks[wt]
+        for sol in q_sparse_nullspace(system.rows(block), len(block)):
+            comps_terms = [dict() for _ in range(n)]
+            for col, c in sol.items():
+                key, i = block[col]
+                comps_terms[i][key] = c
+            comps = [RatFunc.from_poly(Poly(ring, t)) for t in comps_terms]
+            fields.append(VectorField(chart, comps))
     return SymmetryBasis(degree=d, basis=fields, dim=len(fields),
                          weights=weights)
 
 
-def _solve_block(ring, unknowns, frame_polys, forms, n):
-    """Nullspace of the symmetry conditions restricted to the given
-    unknown monomial fields.  Returns solutions as [(unknown, coeff)]."""
-    eqs = {}        # (form_idx, frame_idx, monomial) -> {col: coeff}
-    for col, (key, i) in enumerate(unknowns):
-        for a, xp in enumerate(frame_polys):
-            br = _bracket_monomial_field(ring, key, i, xp, n)
-            for fj, form in enumerate(forms):
-                acc = ring.zero()
-                for l in range(n):
-                    fc = form.components[l].num
-                    if not (fc.is_zero() or br[l].is_zero()):
-                        acc = acc + fc * br[l]
-                for mk, c in acc.terms.items():
-                    eqs.setdefault((fj, a, mk), {})[col] = c
-    elim = _SparseEliminator()
-    for row in eqs.values():
-        elim.add(row)
-    basis = elim.nullspace(len(unknowns))
-    return [[(unknowns[c], v) for c, v in sorted(b.items())] for b in basis]
+class _SymmetrySystem:
+    """The symmetry conditions <eta, [m d/dx_i, X_a]> = 0 for monomial
+    unknowns m d/dx_i, through
+
+        <eta, [m d/dx_i, X_a]> = m P[a][j][i] - eta_i X_a(m),
+        P[a][j][i] = sum_l eta_l d(X_a^l)/dx_i,
+
+    with the P table built once and X_a(m) once per monomial.  Each form
+    and each frame field is first scaled to integer coefficients, which
+    scales each equation by a nonzero constant; polynomials here are
+    {packed monomial: int} dicts."""
+
+    def __init__(self, ring, frame_polys, forms):
+        self.ring = ring
+        self.frame = [_integral(xp) for xp in frame_polys]
+        self.etas = [_integral([c.num for c in f.components]) for f in forms]
+        self.table = []
+        for xp in self.frame:
+            dx = [[Poly(ring, x).diff(v).terms for v in ring.names]
+                  for x in xp]
+            self.table.append([[_dot(eta, [d[i] for d in dx])
+                                for i in range(ring.n)]
+                               for eta in self.etas])
+        self._applied = {}
+
+    def _apply(self, a, key):
+        """X_a(m) for the monomial m with packed exponents key."""
+        out = self._applied.get((a, key))
+        if out is None:
+            m = Poly(self.ring, {key: 1})
+            out = _dot(self.frame[a], [m.diff(v).terms
+                                       for v in self.ring.names])
+            self._applied[(a, key)] = out
+        return out
+
+    def rows(self, unknowns):
+        """Sparse rows {col: coeff}, one per (form, frame field, monomial)
+        coefficient of the conditions, over the given unknowns."""
+        eqs = {}
+        for col, (key, i) in enumerate(unknowns):
+            for a, ps in enumerate(self.table):
+                xm = self._apply(a, key)
+                for fj, eta in enumerate(self.etas):
+                    acc = {}
+                    add_product(acc, {key: 1}, ps[fj][i])
+                    add_product(acc, eta[i], xm, -1)
+                    for mk, c in acc.items():
+                        eqs.setdefault((fj, a, mk), {})[col] = c
+        return list(eqs.values())
+
+
+def _integral(polys):
+    """The polynomials scaled by one positive integer to integer
+    coefficients, as {packed monomial: int} dicts."""
+    den = 1
+    for p in polys:
+        for c in p.terms.values():
+            den = lcm(den, int(c.denominator))
+    return [{k: int(c * den) for k, c in p.terms.items()} for p in polys]
+
+
+def _dot(ps, qs):
+    """sum p * q over paired {packed monomial: int} polynomials."""
+    acc = {}
+    for p, q in zip(ps, qs):
+        add_product(acc, p, q)
+    return acc
 
 
 def stabilized_symmetry_basis(dist, forms=None, max_degree=8, start=1):

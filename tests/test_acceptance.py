@@ -111,7 +111,6 @@ def test_criterion_4_deprolongation_round_trip():
     report("4", True, "prolong^n then deprolong^n recovers the model growth")
 
 
-@pytest.mark.slow
 def test_criterion_5_symmetry_dimensions():
     expected = {5: 14, 6: 11, 7: 13}
     stable_deg = {}

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -160,6 +161,22 @@ class TestErrors:
         p.write_text(json.dumps(spec))
         code, _ = run_cli(["analyze", "--input", str(p)], tmp_path)
         assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_exponent_point_fails_fast(self, tmp_path, capsys):
+        # Fraction("1e99999999") alone would build a 10^99999999 integer
+        p = tmp_path / "huge_point.json"
+        p.write_text(json.dumps({
+            "coordinates": ["x", "y", "z"],
+            "fields": [["1", "0", "y"], ["0", "1", "0"]],
+            "point": ["1e99999999", "0", "0"],
+        }))
+        start = time.perf_counter()
+        code, _ = run_cli(["analyze", "--input", str(p)], tmp_path)
+        assert code == 1
+        assert time.perf_counter() - start < 5
         err = capsys.readouterr().err
         assert err.startswith("input error:")
         assert len(err.strip().splitlines()) == 1

@@ -1,5 +1,7 @@
 """Exact arithmetic kernel: polynomials, rational functions, linear algebra."""
 
+import random
+
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
@@ -7,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from rank2dist.kernel import (PoleError, Poly, PolyRing, Q, RatFunc,
                               ZeroDenominatorError, as_q, clear_denominators,
                               divexact, poly_gcd, q_inverse, q_nullspace,
-                              q_rank, q_rref, q_solve, rf_nullspace, rf_rref,
-                              rf_solve_minimal)
+                              q_rank, q_rref, q_solve, q_sparse_nullspace,
+                              rf_nullspace, rf_rref, rf_solve_minimal)
+from rank2dist import kernel
 
 R3 = PolyRing(("x", "y", "z"))
 X, Y, Z = R3.gens()
@@ -61,6 +64,11 @@ class TestPoly:
 
     def test_pow(self):
         assert (X + 1) ** 3 == X ** 3 + 3 * X * X + 3 * X + 1
+
+    def test_pow_overflow(self):
+        assert (X * Y ** 2) ** 32767 == X ** 32767 * Y ** 65534
+        with pytest.raises(OverflowError):
+            (X * Y ** 2) ** 32768
 
     def test_diff(self):
         p = X ** 2 * Y + Z
@@ -249,6 +257,65 @@ class TestQLinear:
         mat = [[sp.Rational(int(x.numerator), int(x.denominator))
                 for x in r] for r in rows]
         assert q_rank(rows, 3) == sp.Matrix(mat).rank()
+
+
+class TestQSparseNullspace:
+    """The modular solver returns q_nullspace's canonical basis exactly."""
+
+    P0 = next(kernel._word_primes())
+
+    @staticmethod
+    def dense(basis, ncols):
+        return [[v.get(c, Q(0)) for c in range(ncols)] for v in basis]
+
+    def check(self, rows, ncols):
+        got = q_sparse_nullspace(rows, ncols)
+        _, want = q_nullspace([[r.get(c, Q(0)) for c in range(ncols)]
+                               for r in rows], ncols)
+        assert self.dense(got, ncols) == want
+        return got
+
+    def test_random_systems_match_q_nullspace(self):
+        rng = random.Random(20251018)
+        for _ in range(300):
+            nrows, ncols = rng.randint(0, 9), rng.randint(1, 9)
+            rows = []
+            for _ in range(nrows):
+                row = {}
+                for c in range(ncols):
+                    if rng.random() < 0.4:
+                        x = Q(rng.randint(-5, 5), rng.randint(1, 7))
+                        if x:
+                            row[c] = x
+                rows.append(row)
+            self.check(rows, ncols)
+
+    def test_first_prime_misplaces_the_pivot(self):
+        # mod P0 the row is (0, 1): pivot on column 1 instead of 0
+        got = self.check([{0: Q(self.P0), 1: Q(1)}], 2)
+        assert got == [{0: Q(-1, self.P0), 1: Q(1)}]
+
+    def test_entry_beyond_one_prime_needs_crt(self):
+        big = 2 ** 40 + 1
+        got = self.check([{0: Q(1), 1: Q(-big)}], 2)
+        assert got == [{0: Q(big), 1: Q(1)}]
+
+    def test_denominator_prime_is_skipped(self, monkeypatch):
+        primes = []
+        real = kernel._echelon_mod
+
+        def spy(rows, ncols, p):
+            primes.append(p)
+            return real(rows, ncols, p)
+
+        monkeypatch.setattr(kernel, "_echelon_mod", spy)
+        got = self.check([{0: Q(1, self.P0), 1: Q(1)}], 2)
+        assert got == [{0: Q(-self.P0), 1: Q(1)}]
+        assert primes and self.P0 not in primes
+
+    def test_full_rank(self):
+        rows = [{0: Q(1), 1: Q(1, 2)}, {1: Q(3)}, {0: Q(2), 2: Q(-1)}]
+        assert self.check(rows, 3) == []
 
 
 class TestRFLinear:

@@ -61,6 +61,11 @@ class TestErrors:
         with pytest.raises(ExpressionError):
             parse_expr("x^-2", RING)
 
+    def test_exponent_beyond_packed_range(self):
+        assert parse_expr("x^65535", RING).num.degree_in(0) == 65535
+        with pytest.raises(ExpressionError):
+            parse_expr("x^65536", RING)
+
     def test_garbage_token(self):
         with pytest.raises(ExpressionError):
             parse_expr("x $ y", RING)

@@ -4,7 +4,7 @@ import pytest
 
 from rank2dist.distribution import Distribution
 from rank2dist.geometry import Chart, lie_bracket
-from rank2dist.kernel import Q
+from rank2dist.kernel import Q, QEchelon
 from rank2dist.models import cartan_jet, monge_model
 from rank2dist.symmetry import (annihilator_forms, bracket_close_check,
                                 detect_weights, is_symmetry,
@@ -56,6 +56,35 @@ class TestSolver:
         a = symmetry_basis(dist, 2, weights="auto")
         b = symmetry_basis(dist, 2, weights=None)
         assert a.dim == b.dim
+        # the two solver paths span the same space of fields
+        items = [{(k, i): c for i, comp in enumerate(y.components)
+                  for k, c in comp.num.terms.items()}
+                 for y in a.basis + b.basis]
+        coords = sorted(set().union(*items))
+        vecs = [[it.get(c, Q(0)) for c in coords] for it in items]
+        for span, others in ((vecs[:a.dim], vecs[a.dim:]),
+                             (vecs[a.dim:], vecs[:a.dim])):
+            ech = QEchelon(len(coords))
+            for v in span:
+                assert ech.add(v)
+            assert all(ech.contains(v) for v in others)
+
+    def test_monolithic_matches_sympy_oracle(self):
+        # a frame with no positive weights takes the unsplit solver path
+        import sympy as sp
+        names = ("x", "y0", "y1", "y2", "z")
+        ch = Chart(names)
+        dist = Distribution(ch, [ch.field("1", "y1", "y2", "0",
+                                          "y2^2 + x*y1^2"),
+                                 ch.field("0", "0", "0", "1", "0")])
+        assert detect_weights(dist) is None
+        got = symmetry_basis(dist, 2)
+        x, _, y1, y2, _ = coords = sp.symbols(names)
+        frame = [[sp.Integer(1), y1, y2, sp.Integer(0), y2 ** 2 + x * y1 ** 2],
+                 [sp.Integer(0)] * 3 + [sp.Integer(1), sp.Integer(0)]]
+        sforms = [[sp.sympify(c.to_str().replace("^", "**"))
+                   for c in f.components] for f in annihilator_forms(dist)]
+        assert got.dim == symmetry_dim_oracle(frame, list(coords), sforms, 2)
 
     def test_every_basis_field_is_symmetry(self):
         dist = monge_model(5)
