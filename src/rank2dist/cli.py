@@ -126,7 +126,7 @@ def cmd_analyze(args):
     sf = strong_flag(dist, point)
     rep["growth_vector"] = list(wf.growth_vector)
     rep["strong_growth_vector"] = list(sf.growth_vector)
-    cube = wf.dims[min(2, len(wf.dims) - 1)]
+    cube = wf.cube
     rep["cube_dim"] = cube
     rep["goursat"] = is_goursat(dist, point, seed=args.seed)
     rep["equiregular_sampled"] = equiregular_check(dist, point,

@@ -21,9 +21,21 @@ from .geometry import lie_bracket
 _BOX = [Q(k, 2) for k in range(-3, 4)]
 
 
-def sample_point_near(q, rng):
-    """A random rational point near q with small height."""
-    return [as_q(x) + rng.choice(_BOX) for x in q]
+def nearby_points(dist, q, count, budget, seed):
+    """Up to `count` seeded random rational points in the box around q at
+    which the frame is pole-free and independent, drawn lazily from at most
+    `budget` candidates."""
+    rng = random.Random(seed)
+    for _ in range(budget):
+        if count <= 0:
+            return
+        p = [as_q(x) + rng.choice(_BOX) for x in q]
+        try:
+            dist.check_frame_at(p)
+        except (PoleError, DegenerateFrame):
+            continue
+        count -= 1
+        yield p
 
 
 class Distribution:
@@ -56,9 +68,21 @@ class Distribution:
             self._memo[word] = f
         return f
 
+    def word_value(self, word, q):
+        """Exact value of a bracket word's field at the point q, as a tuple
+        of Q; kept in the memo, so each word is evaluated once per point."""
+        # tagged like per_distribution keys: Q(1) == 1, so an untagged
+        # (word, point) pair could equal the key of a bracket word
+        pt = tuple(as_q(x) for x in q)
+        key = ("word_value", word, pt)
+        v = self._memo.get(key)
+        if v is None:
+            v = self._memo[key] = tuple(self.word_field(word).at(pt))
+        return v
+
     def check_frame_at(self, q):
         try:
-            values = [f.at(q) for f in self.frame]
+            values = [self.word_value(i, q) for i in range(self.rank)]
         except PoleError:
             raise PoleError("frame has a pole at the query point")
         ech = QEchelon(self.chart.dim)
@@ -80,12 +104,6 @@ def per_distribution(fn):
     return memoized
 
 
-def word_length(word):
-    if isinstance(word, int):
-        return 1
-    return word_length(word[0]) + word_length(word[1])
-
-
 @dataclass
 class FlagReport:
     """Pointwise derived-flag data at a base point."""
@@ -100,6 +118,11 @@ class FlagReport:
     def growth_vector(self):
         return tuple(self.dims)
 
+    @property
+    def cube(self):
+        """dim D^3(q), or the last dim when the flag stops earlier."""
+        return self.dims[min(2, len(self.dims) - 1)]
+
 
 def weak_flag(dist, q, max_depth=None, gens=None):
     """Weak derived flag D^i(q) via left-normed bracket words.
@@ -109,46 +132,41 @@ def weak_flag(dist, q, max_depth=None, gens=None):
     that span D^1 (default: the frame, checked at q).
     """
     n = dist.chart.dim
-    if max_depth is None:
-        max_depth = n
     if gens is None:
         dist.check_frame_at(q)
         gens = range(dist.rank)
-    ech = QEchelon(n)
-    gen_idx = list(gens)
-    level_words = [list(gen_idx)]
-    kept = []
-    dims = []
-    for w in gen_idx:
-        ech.add(dist.word_field(w).at(q))
-    kept.append(list(gen_idx))
-    dims.append(ech.rank)
-    stabilized = False
+    dims, kept, stabilized = _weak_levels(
+        lambda w: dist.word_value(w, q),
+        lambda w: not dist.word_field(w).is_zero(),
+        gens, n, n if max_depth is None else max_depth)
+    return FlagReport("weak", list(q), dims, kept, stabilized)
+
+
+def _weak_levels(value, nonzero, gens, dim, max_depth):
+    """The adapted basis of a weak flag by deterministic greedy pivoting.
+
+    Level 1 is `gens`; level i+1 brackets each generator a with each
+    nonzero level-i word w as (a, w).  Each level keeps, in that order, the
+    words whose `value` (a length-`dim` vector over Q) extends the span of
+    the words kept so far.  Returns (dims, kept words per level,
+    stabilized).
+    """
+    gens = list(gens)
+    ech = QEchelon(dim)
+    for w in gens:
+        ech.add(value(w))
+    words, kept, dims = gens, [gens], [ech.rank]
     while len(dims) < max_depth:
-        prev = level_words[-1]
-        new_words = []
-        new_kept = []
-        for a in gen_idx:
-            for w in prev:
-                bw = (a, w)
-                f = dist.word_field(bw)
-                if f.is_zero():
-                    continue
-                new_words.append(bw)
-                if ech.add(f.at(q)):
-                    new_kept.append(bw)
-        level_words.append(new_words)
-        kept.append(new_kept)
+        words = [(a, w) for a in gens for w in words if nonzero((a, w))]
+        kept.append([w for w in words if ech.add(value(w))])
         dims.append(ech.rank)
         if dims[-1] == dims[-2]:
-            stabilized = True
             dims.pop()
             kept.pop()
-            break
-        if dims[-1] == n:
-            stabilized = True
-            break
-    return FlagReport("weak", list(q), dims, kept, stabilized)
+            return dims, kept, True
+        if dims[-1] == dim:
+            return dims, kept, True
+    return dims, kept, False
 
 
 def strong_flag(dist, q, max_depth=None):
@@ -167,7 +185,7 @@ def strong_flag(dist, q, max_depth=None):
     kept_levels = []
     dims = []
     for w in range(dist.rank):
-        if ech.add(dist.word_field(w).at(q)):
+        if ech.add(dist.word_value(w, q)):
             spanning.append(w)
     kept_levels.append(list(spanning))
     dims.append(ech.rank)
@@ -176,10 +194,9 @@ def strong_flag(dist, q, max_depth=None):
         new_kept = []
         for wa, wb in itertools.combinations(list(spanning), 2):
             bw = (wa, wb)
-            f = dist.word_field(bw)
-            if f.is_zero():
+            if dist.word_field(bw).is_zero():
                 continue
-            if ech.add(f.at(q)):
+            if ech.add(dist.word_value(bw, q)):
                 new_kept.append(bw)
         spanning.extend(new_kept)
         kept_levels.append(new_kept)
@@ -195,18 +212,22 @@ def strong_flag(dist, q, max_depth=None):
     return FlagReport("strong", list(q), dims, kept_levels, stabilized)
 
 
-def square_fields(dist):
-    """X1, X2, X3=[X1,X2], X4=[X1,X3], X5=[X2,X3] of a rank-2 frame."""
+def square_words(dist):
+    """Words of X1, X2, X3=[X1,X2], X4=[X1,X3], X5=[X2,X3] of a rank-2
+    frame."""
     if dist.rank != 2:
         raise ValueError("need a rank-2 frame")
-    return tuple(dist.word_field(w)
-                 for w in (0, 1, (0, 1), (0, (0, 1)), (1, (0, 1))))
+    return (0, 1, (0, 1), (0, (0, 1)), (1, (0, 1)))
+
+
+def square_fields(dist):
+    """The fields X1, ..., X5 of `square_words`."""
+    return tuple(dist.word_field(w) for w in square_words(dist))
 
 
 def cube_dim(dist, q):
     """dim D^3(q); for a rank-2 frame this is at most 5."""
-    report = weak_flag(dist, q, max_depth=3)
-    d = report.dims[min(2, len(report.dims) - 1)]
+    d = weak_flag(dist, q, max_depth=3).cube
     if dist.rank == 2 and d > 5:
         raise InvariantViolation("rank-2 cube has dimension %d > 5" % d)
     return d
@@ -217,17 +238,8 @@ def is_goursat(dist, q, samples=3, seed=0):
     are (2, 3, ..., n), at q and at `samples` random nearby points."""
     n = dist.chart.dim
     expected = tuple(range(2, n + 1))
-    rng = random.Random(seed)
-    points = [list(q)]
-    budget = 10 * samples + 10
-    while len(points) < samples + 1 and budget:
-        budget -= 1
-        p = sample_point_near(q, rng)
-        try:
-            dist.check_frame_at(p)
-        except (PoleError, DegenerateFrame):
-            continue
-        points.append(p)
+    points = [list(q)] + list(nearby_points(dist, q, samples,
+                                            10 * samples + 10, seed))
     for p in points:
         rep = strong_flag(dist, p, max_depth=n)
         if rep.growth_vector != expected:
@@ -239,23 +251,15 @@ def equiregular_check(dist, q, samples=5, seed=0):
     """True iff the small growth vector at q matches the one at `samples`
     random rational points in a box around q.  Probabilistic proxy for
     equiregularity; a negative answer is definitive."""
-    rng = random.Random(seed)
     base = weak_flag(dist, q).growth_vector
     found = 0
-    budget = 20 * samples + 20
-    while found < samples:
-        if budget == 0:
-            raise SamplingFailure("could not draw %d pole-free sample points"
-                                  % samples)
-        budget -= 1
-        p = sample_point_near(q, rng)
-        try:
-            rep = weak_flag(dist, p)
-        except (PoleError, DegenerateFrame):
-            continue
-        found += 1
-        if rep.growth_vector != base:
+    for p in nearby_points(dist, q, samples, 20 * samples + 20, seed):
+        if weak_flag(dist, p).growth_vector != base:
             return False
+        found += 1
+    if found < samples:
+        raise SamplingFailure("could not draw %d pole-free sample points"
+                              % samples)
     return True
 
 
@@ -394,37 +398,18 @@ def structure_bracket(st, u, v):
     return out
 
 
-def _symbol_from_words(value, nonzero, ngens, depth, dim):
-    """Graded symbol spanned by bracket words of `ngens` generators.
+def _symbol_from_basis(levels, value):
+    """Graded symbol of an adapted basis of bracket words.
 
-    Level-1 words are the generators; level-(i+1) words are the pairs
-    (a, w) of a generator a and a level-i word w with nonzero((a, w)).
-    `value(word)` is a length-`dim` vector over Q.  The adapted basis keeps,
-    level by level and in that word order, each word whose value extends
-    the span of the words kept so far (deterministic greedy pivoting);
-    structure constants are the level-(i+j) coordinates of basis brackets.
+    `levels[i]` are the basis words of level i+1 and `value(word)` is a
+    vector over Q; structure constants are the level-(i+j) coordinates of
+    basis brackets.
     """
-    gen_idx = list(range(ngens))
-    level_words = [gen_idx]
-    for _ in range(depth - 1):
-        level_words.append([(a, w) for a in gen_idx for w in level_words[-1]
-                            if nonzero((a, w))])
-    ech = QEchelon(dim)
-    chosen = []         # list of (word, level)
-    basis_vals = []
-    dims = []
-    for lvl, words in enumerate(level_words, start=1):
-        count = 0
-        for w in words:
-            v = value(w)
-            if ech.add(v):
-                chosen.append((w, lvl))
-                basis_vals.append(v)
-                count += 1
-        dims.append(count)
+    chosen = [(w, lvl) for lvl, words in enumerate(levels, start=1)
+              for w in words]
     # express vectors in the adapted basis: solve V^T c = vec
-    cols = list(zip(*basis_vals))
-    mu = len(dims)
+    cols = list(zip(*(value(w) for w, _ in chosen)))
+    mu = len(levels)
     N = len(chosen)
     structure = [[[Q(0)] * N for _ in range(N)] for _ in range(N)]
     for a in range(N):
@@ -441,8 +426,8 @@ def _symbol_from_words(value, nonzero, ngens, depth, dim):
                 if coords[k] and chosen[k][1] == target:
                     structure[a][b][k] = coords[k]
                     structure[b][a][k] = -coords[k]
-    sym = GradedSymbol(dims=dims, structure=structure,
-                       words=[w for w, _ in chosen])
+    sym = GradedSymbol(dims=[len(words) for words in levels],
+                       structure=structure, words=[w for w, _ in chosen])
     sym.validate()
     return sym
 
@@ -450,9 +435,9 @@ def _symbol_from_words(value, nonzero, ngens, depth, dim):
 def tanaka_symbol(dist, q, samples=3, seed=0, max_depth=None):
     """Tanaka symbol of the distribution at an equiregular point.
 
-    The adapted basis is chosen by deterministic greedy pivoting over
-    left-normed bracket words; structure constants are the level-(i+j)
-    coordinates of basis brackets at q.
+    The adapted basis is the one `weak_flag` keeps at q (deterministic
+    greedy pivoting over left-normed bracket words); structure constants
+    are the level-(i+j) coordinates of basis brackets at q.
     """
     n = dist.chart.dim
     if samples and not equiregular_check(dist, q, samples=samples, seed=seed):
@@ -461,9 +446,7 @@ def tanaka_symbol(dist, q, samples=3, seed=0, max_depth=None):
     if rep.dims[-1] != n:
         raise NotBracketGenerating(
             "bracket words span only %d of %d dimensions" % (rep.dims[-1], n))
-    return _symbol_from_words(lambda w: dist.word_field(w).at(q),
-                              lambda w: not dist.word_field(w).is_zero(),
-                              dist.rank, len(rep.dims), n)
+    return _symbol_from_basis(rep.words, lambda w: dist.word_value(w, q))
 
 
 def abstract_tanaka_replay(sym):
@@ -473,5 +456,7 @@ def abstract_tanaka_replay(sym):
     flat model of `sym`, using the same deterministic word order.  Used by
     the flat-model round trip.
     """
-    return _symbol_from_words(sym.eval_word, lambda w: any(sym.eval_word(w)),
-                              sym.dims[0], sym.depth, sym.total_dim)
+    _, levels, _ = _weak_levels(sym.eval_word, lambda w: any(sym.eval_word(w)),
+                                range(sym.dims[0]), sym.total_dim,
+                                sym.total_dim)
+    return _symbol_from_basis(levels, sym.eval_word)

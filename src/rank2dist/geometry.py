@@ -51,12 +51,6 @@ class Chart:
         return VectorField(self, [self.ratfunc(e) if isinstance(e, str) else e
                                   for e in exprs])
 
-    def form(self, *exprs):
-        if len(exprs) != self.dim:
-            raise ValueError("need %d components" % self.dim)
-        return OneForm(self, [self.ratfunc(e) if isinstance(e, str) else e
-                              for e in exprs])
-
 
 def _check_chart(a, b):
     if a.chart != b.chart:

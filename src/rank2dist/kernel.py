@@ -22,6 +22,8 @@ _BITS = 16
 _MASK = (1 << _BITS) - 1
 # the largest exponent of one variable that a packed monomial holds
 MAX_EXPONENT = _MASK
+# the largest numerator or denominator bit length a power may build
+MAX_POWER_BITS = 1 << 20
 
 _ZERO = Q(0)
 _ONE = Q(1)
@@ -236,6 +238,12 @@ class Poly:
                              default=0) > MAX_EXPONENT:
             raise OverflowError("exponent of a variable exceeds %d"
                                 % MAX_EXPONENT)
+        if e > 1 and e * max((max(c.numerator.bit_length(),
+                                  c.denominator.bit_length())
+                              for c in self.terms.values()),
+                             default=0) > MAX_POWER_BITS:
+            raise OverflowError("coefficients of a power exceed %d bits"
+                                % MAX_POWER_BITS)
         result = self.ring.one()
         base = self
         while e:

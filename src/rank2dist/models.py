@@ -4,15 +4,14 @@ flat distributions built from graded symbols."""
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
-from .errors import DegenerateFrame, PreconditionError
+from .errors import PreconditionError
 from .kernel import (PoleError, Poly, PolyRing, Q, RatFunc, as_q,
                      clear_denominators, q_inverse, rf_nullspace, rf_rref)
 from .geometry import Chart, OneForm, VectorField, linear_change
 from .distribution import (Distribution, GradedSymbol, cube_dim,
-                           sample_point_near, square_fields, strong_flag,
+                           nearby_points, square_fields, strong_flag,
                            weak_flag)
 from .freelie import FreeLieTruncated, bch_words
 
@@ -136,18 +135,7 @@ class DeprolongResult:
 
 
 def _check_cube4_near(dist, q, samples=2, seed=0):
-    rng = random.Random(seed)
-    pts = [list(q)]
-    budget = 20
-    while len(pts) < samples + 1 and budget:
-        budget -= 1
-        p = sample_point_near(q, rng)
-        try:
-            dist.check_frame_at(p)
-        except (PoleError, DegenerateFrame):
-            continue
-        pts.append(p)
-    for p in pts:
+    for p in [list(q)] + list(nearby_points(dist, q, samples, 20, seed)):
         try:
             c = cube_dim(dist, p)
         except PoleError:
@@ -242,15 +230,14 @@ def _deprolong_rectified(dist, q, z):
     moved = [sum((a[i][j] * qq[j] for j in range(n)), Q(0)) for i in range(n)]
     rep = weak_flag(out, moved[:-1])
     return DeprolongResult(rectified=True, distribution=out,
-                           growth=rep.growth_vector,
-                           cube=rep.dims[min(2, len(rep.dims) - 1)],
+                           growth=rep.growth_vector, cube=rep.cube,
                            note="characteristic field rectified to d/d%s" % w)
 
 
 def _deprolong_invariants(dist, q):
     rep = weak_flag(dist, q, gens=(0, 1, (0, 1)))      # the flag of D^2
     growth = tuple(d - 1 for d in rep.dims)
-    cube = rep.dims[min(2, len(rep.dims) - 1)] - 1
+    cube = rep.cube - 1
     return DeprolongResult(rectified=False, growth=growth, cube=cube,
                            note="not rectified; invariants from the weak "
                                 "derived flag of D^2")
@@ -271,13 +258,13 @@ def deprolongation_degree(dist, q, cap=None, seed=0):
     levels = strong_flag(dist, q).words
     for s in range(cap + 1):
         words = [w for level in levels[:s + 1] for w in level]
-        dims = weak_flag(dist, q, max_depth=3 if n - s > 4 else None,
-                         gens=words).dims
-        cube_s = dims[min(2, len(dims) - 1)] - s
+        rep = weak_flag(dist, q, max_depth=3 if n - s > 4 else None,
+                        gens=words)
+        cube_s = rep.cube - s
         if cube_s == 5:
             return s, "cube5"
         if n - s == 4:
-            growth = tuple(d - s for d in dims)
+            growth = tuple(d - s for d in rep.dims)
             if growth == (2, 3, 4):
                 return n - 4, "engel"
             raise PreconditionError(

@@ -17,7 +17,7 @@ from .errors import InvariantViolation, PreconditionError, SamplingFailure
 from .kernel import (Q, QEchelon, RatFunc, as_q, clear_denominators,
                      q_nullspace, rf_nullspace, rf_solve_minimal)
 from .geometry import Chart, VectorField, lie_bracket
-from .distribution import per_distribution, square_fields
+from .distribution import per_distribution, square_fields, square_words
 
 CONVENTION_NOTE = ("cone convention: computed on the full cotangent bundle; "
                    "the Euler (fiber-scaling) direction adds +1 to every "
@@ -141,7 +141,7 @@ def fiber_sample(dist, q, seed=0, rng=None, budget=200):
     D^3(q) is spanned by the values of X1..X5, so their rank is dim D^3(q).
     """
     n = dist.chart.dim
-    values = [f.at(q) for f in square_fields(dist)]
+    values = [dist.word_value(w, q) for w in square_words(dist)]
     ech = QEchelon(n)
     cube = sum(1 for v in values if ech.add(v))
     if cube != 5:

@@ -24,3 +24,18 @@ def bracket_calls(monkeypatch):
                 getattr(mod, "lie_bracket", None) is real:
             monkeypatch.setattr(mod, "lie_bracket", counting)
     return count
+
+
+@pytest.fixture
+def field_evals(monkeypatch):
+    """One-element list counting `VectorField.at` evaluations."""
+    from rank2dist.geometry import VectorField
+    real = VectorField.at
+    count = [0]
+
+    def counting(self, point):
+        count[0] += 1
+        return real(self, point)
+
+    monkeypatch.setattr(VectorField, "at", counting)
+    return count

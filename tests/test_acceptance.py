@@ -113,19 +113,19 @@ def test_criterion_4_deprolongation_round_trip():
 
 def test_criterion_5_symmetry_dimensions():
     expected = {5: 14, 6: 11, 7: 13}
-    stable_deg = {}
+    stabilized = {}
     for n, want in expected.items():
-        out = stabilized_symmetry_basis(monge_model(n), max_degree=8)
-        stable_deg[n] = out.stable_degree
+        dist = monge_model(n)
+        out = stabilized_symmetry_basis(dist, max_degree=8)
+        stabilized[n] = dist, out
         if out.dim != want:
             report("5", False, "n=%d dim %d != %d" % (n, out.dim, want))
     for n in (6, 7):
-        dist = monge_model(n)
-        deep = symmetry_basis(dist, stable_deg[n] + 2)
+        dist, out = stabilized[n]
+        deep = symmetry_basis(dist, out.stable_degree + 2)
         if deep.dim > 2 * n - 1:
             report("5", False, "n=%d dim %d exceeds 2n-1 at degree d*+2"
                    % (n, deep.dim))
-        out = stabilized_symmetry_basis(dist, max_degree=8)
         v = nilradical_witness_dim(dist, out)
         if v < 2 * n - 5:
             report("5", False, "n=%d nilradical witness %d < 2n-5" % (n, v))

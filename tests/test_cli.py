@@ -181,6 +181,18 @@ class TestErrors:
         assert err.startswith("input error:")
         assert len(err.strip().splitlines()) == 1
 
+    def test_huge_constant_power_is_one_line(self, tmp_path, capsys):
+        p = tmp_path / "huge_power.json"
+        p.write_text(json.dumps({
+            "coordinates": ["x", "y", "z"],
+            "fields": [["1", "0", "(2^65535)^1024"], ["0", "1", "0"]],
+        }))
+        code, _ = run_cli(["analyze", "--input", str(p)], tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert len(err.strip().splitlines()) == 1
+
     def test_missing_file(self, tmp_path):
         code, _ = run_cli(["analyze", "--input",
                            str(tmp_path / "nothere.json")], tmp_path)
@@ -189,6 +201,22 @@ class TestErrors:
     def test_depth_cap_below_the_class(self, tmp_path, capsys):
         code, _ = run_cli(["analyze", "--model", "monge", "--n", "6",
                            "--depth-cap", "1", "--samples", "1"], tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("precondition failed:")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_poles_around_the_base_point(self, tmp_path, capsys):
+        # every sampling-box point but the base point is a pole, so the
+        # equiregularity check cannot draw its samples
+        d = "*".join("(4*%s^2-1)*(%s^2-1)*(4*%s^2-9)" % (v, v, v)
+                     for v in "xy")
+        p = tmp_path / "poles.json"
+        p.write_text(json.dumps({
+            "coordinates": ["x", "y"],
+            "fields": [["1/(%s)" % d, "0"], ["0", "1"]],
+        }))
+        code, _ = run_cli(["analyze", "--input", str(p)], tmp_path)
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("precondition failed:")

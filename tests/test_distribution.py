@@ -7,7 +7,7 @@ from rank2dist.distribution import (Distribution, GradedSymbol, InvalidSymbol,
                                     equiregular_check, is_goursat,
                                     strong_flag, tanaka_symbol, weak_flag)
 from rank2dist.errors import (DegenerateFrame, NonEquiregular,
-                              NotBracketGenerating)
+                              NotBracketGenerating, SamplingFailure)
 from rank2dist.kernel import Q
 from rank2dist.models import cartan_jet, monge_model
 
@@ -93,6 +93,46 @@ class TestEquiregular:
         dist = Distribution(ch, [ch.field("1", "0", "0"),
                                  ch.field("0", "1", "x^2")])
         assert not equiregular_check(dist, [Q(1), Q(0), Q(0)], seed=3)
+
+
+class TestPointValues:
+    def test_word_value_is_a_tuple(self):
+        dist = monge_model(5)
+        v = dist.word_value((0, 1), ORIGIN5)
+        assert isinstance(v, tuple)
+        assert list(v) == dist.word_field((0, 1)).at(ORIGIN5)
+
+    @pytest.mark.parametrize("fn", [weak_flag, strong_flag, is_goursat,
+                                    equiregular_check, tanaka_symbol],
+                             ids=lambda fn: fn.__name__)
+    def test_repeat_evaluates_nothing(self, fn, field_evals):
+        dist = monge_model(7)
+        q = [Q(0)] * 7
+        first = fn(dist, q)
+        field_evals[0] = 0
+        assert fn(dist, q) == first
+        assert field_evals[0] == 0
+
+    def test_poles_at_every_box_point_but_q(self, monkeypatch):
+        # D(t) vanishes at t = k/2 for k = +-1, +-2, +-3 and not at 0, so
+        # the frame has a pole at every sampling-box point except q itself
+        from rank2dist import distribution
+        from rank2dist.geometry import Chart
+        d = "*".join("(4*%s^2-1)*(%s^2-1)*(4*%s^2-9)" % (v, v, v)
+                     for v in "xy")
+        ch = Chart(("x", "y"))
+        dist = Distribution(ch, [ch.field("1/(%s)" % d, "0"),
+                                 ch.field("0", "1")])
+        q = [Q(0)] * 2
+        with pytest.raises(SamplingFailure):
+            equiregular_check(dist, q)
+        seen = []
+        real = distribution.strong_flag
+        monkeypatch.setattr(distribution, "strong_flag",
+                            lambda dist, p, **kw: seen.append(list(p)) or
+                            real(dist, p, **kw))
+        assert is_goursat(dist, q)
+        assert seen == [q]
 
 
 class TestGradedSymbol:

@@ -95,7 +95,7 @@ class TestBracket:
 
 class TestForms:
     def test_pair(self):
-        w = CH.form("y", "0", "1")
+        w = OneForm(CH, [CH.ratfunc(e) for e in ("y", "0", "1")])
         v = CH.field("x", "5", "z")
         assert pair(w, v) == CH.ratfunc("x*y + z")
 

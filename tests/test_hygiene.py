@@ -53,6 +53,31 @@ def test_no_assert_statements(path):
     assert _asserts(path) == []
 
 
+def _word_field_evaluations(path):
+    """Lines outside `Distribution.word_value` that call `.at(` on
+    `word_field(...)` instead of reading the value through the memo."""
+    tree = ast.parse(path.read_text())
+    home = {id(n) for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef) and f.name == "word_value"
+            for n in ast.walk(f)}
+    hits = []
+    for node in ast.walk(tree):
+        if (id(node) not in home and isinstance(node, ast.Call) and
+                isinstance(node.func, ast.Attribute) and
+                node.func.attr == "at" and
+                isinstance(node.func.value, ast.Call)):
+            inner = node.func.value.func
+            name = getattr(inner, "attr", getattr(inner, "id", None))
+            if name == "word_field":
+                hits.append((path.name, node.lineno))
+    return hits
+
+
+def test_word_values_come_from_the_memo():
+    assert [hit for path in SOURCES
+            for hit in _word_field_evaluations(path)] == []
+
+
 def test_assert_check_sees_an_assert(tmp_path):
     src = tmp_path / "mod.py"
     src.write_text("x = 1\nassert x, 'msg'\n")

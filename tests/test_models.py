@@ -111,6 +111,14 @@ class TestDeprolong:
         assert deprolongation_degree(e, origin(e)) == (6, "engel")
         assert bracket_calls[0] == 0
 
+    def test_repeat_evaluates_nothing(self, field_evals):
+        # every flag reads its word values from the distribution's memo
+        e = cartan_jet(8)
+        assert deprolongation_degree(e, origin(e)) == (6, "engel")
+        field_evals[0] = 0
+        assert deprolongation_degree(e, origin(e)) == (6, "engel")
+        assert field_evals[0] == 0
+
 
 class TestFlatModels:
     def test_free_symbol_dims(self):

@@ -66,6 +66,13 @@ class TestErrors:
         with pytest.raises(ExpressionError):
             parse_expr("x^65536", RING)
 
+    def test_power_coefficient_size_bounded(self):
+        # the literal cap bounds each exponent, not their product
+        assert parse_expr("2^65535", RING).num.const_value() == 2 ** 65535
+        for text in ("(2^65535)^1024", "(2^65535*x)^65535"):
+            with pytest.raises(OverflowError):
+                parse_expr(text, RING)
+
     def test_garbage_token(self):
         with pytest.raises(ExpressionError):
             parse_expr("x $ y", RING)
