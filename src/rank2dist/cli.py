@@ -181,7 +181,6 @@ def cmd_trace(args):
         "halted": traj.halted,
         "halt_reason": traj.halt_reason,
         "nu_trace": report.nu_trace,
-        "nu_marginal": report.marginal,
         "nu_endpoint": report.nu_endpoint,
         "corank_bound": report.corank_bound,
         "corank_claim": report.corank_claim,

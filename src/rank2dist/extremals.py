@@ -1,9 +1,11 @@
 """Numeric integration of the characteristic field and the class along
 trajectories, with the corank bound for regular abnormal extremals.
 
-Floats are confined to this module: trajectories are anchored by exact
-arithmetic at t = 0, and every later rank decision is a float SVD with a
-relative threshold plus a mandatory gap margin.
+Floats are confined to the integrator; no rank is decided in floats.  The
+class at a recorded state is exact: the state's coordinates are read as
+exact binary rationals and the momentum is projected exactly onto the
+annihilator of D^2, so nu_trace[k] is the exact class at the rational
+covector derived from recorded state k, not at the float point itself.
 """
 
 from __future__ import annotations
@@ -13,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .symplectic import _class_iteration, char_field, hamiltonians
-
-RANK_RTOL = 1e-8        # singular values below RANK_RTOL * s_max are zero
-RANK_GAP = 10.0         # decisions within this factor of the cut are marginal
+from .kernel import as_q
+from .symplectic import (char_field, class_at_sample, hamiltonians,
+                         projected_sample)
 
 
 def compile_scalar(rf):
@@ -56,7 +57,9 @@ def compile_field(vf):
     comps = [compile_scalar(c) for c in vf.components]
 
     def ev(state, _comps=comps):
-        return np.array([c(state) for c in _comps])
+        # Python floats index and multiply faster than numpy scalars
+        s = state.tolist()
+        return np.array([c(s) for c in _comps])
 
     return ev
 
@@ -91,13 +94,14 @@ def integrate_char(dist, sample, T, steps, residual_tol=1e-6,
     if not np.any(rhs(state)):
         raise PreconditionError("characteristic field vanishes at the "
                                 "initial covector")
-    floor0 = abs(h_funcs[3](state)) + abs(h_funcs[4](state))
+    s = state.tolist()
+    floor0 = abs(h_funcs[3](s)) + abs(h_funcs[4](s))
     if floor0 <= h45_floor:
         raise PreconditionError("initial covector too close to the "
                                 "annihilator of D^3")
     times = [0.0]
-    states = [state.tolist()]
-    res = [max(abs(h_funcs[i](state)) for i in range(3))]
+    states = [s]
+    res = [max(abs(h_funcs[i](s)) for i in range(3))]
     floor = [floor0]
     traj = Trajectory(times, states, res, floor)
     if steps == 0 or T == 0:
@@ -109,10 +113,11 @@ def integrate_char(dist, sample, T, steps, residual_tol=1e-6,
         k3 = rhs(state + 0.5 * h * k2)
         k4 = rhs(state + h * k3)
         state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        r = max(abs(h_funcs[i](state)) for i in range(3))
-        f45 = abs(h_funcs[3](state)) + abs(h_funcs[4](state))
+        s = state.tolist()
+        r = max(abs(h_funcs[i](s)) for i in range(3))
+        f45 = abs(h_funcs[3](s)) + abs(h_funcs[4](s))
         times.append((k + 1) * h)
-        states.append(state.tolist())
+        states.append(s)
         res.append(r)
         floor.append(f45)
         if r > residual_tol:
@@ -126,32 +131,11 @@ def integrate_char(dist, sample, T, steps, residual_tol=1e-6,
     return traj
 
 
-def _float_rank(rows, rtol=RANK_RTOL, gap=RANK_GAP):
-    """(rank, marginal): SVD rank with relative cut and a gap-margin flag."""
-    a = np.array(rows, dtype=float)
-    if a.size == 0:
-        return 0, False
-    # normalize rows: generator fields have wildly different scales, and
-    # the relative cut should not see that as near-degeneracy
-    norms = np.linalg.norm(a, axis=1)
-    norms[norms == 0.0] = 1.0
-    a = a / norms[:, None]
-    sv = np.linalg.svd(a, compute_uv=False)
-    smax = sv[0] if len(sv) else 0.0
-    if smax == 0.0:
-        return 0, False
-    cut = rtol * smax
-    rank = int(np.sum(sv > cut))
-    marginal = bool(np.any((sv > cut / gap) & (sv < cut * gap)))
-    return rank, marginal
-
-
 @dataclass
 class CorankReport:
     """Class trace along a trajectory and the endpoint corank bound."""
 
     nu_trace: list
-    marginal: list               # per-state marginal-rank flags
     nu_endpoint: int
     corank_bound: int            # n - 2 - nu(endpoint)
     corank_claim: int = None     # 1 exactly when the class is maximal
@@ -159,55 +143,29 @@ class CorankReport:
 
 
 def nu_along(dist, traj, sample, stride=None):
-    """Class trace along a trajectory via float ranks of the symbolic
-    bracket tower anchored at the exact initial covector.
+    """Exact class trace along a trajectory.
 
-    The tower (lift generators plus iterated characteristic brackets,
-    including one stabilization witness) is computed once exactly at the
-    initial sample; along the flow only evaluations and SVD ranks are
-    floating point.  At t = 0 the trace reports the exact class; the float
-    class there must agree with it unless its rank decision is marginal.
+    Index 0 is the class at the starting sample.  Every later recorded
+    state (at the given stride, plus the last) becomes a rational covector:
+    the exact binary value of each float coordinate, with the momentum
+    projected orthogonally onto the annihilator of D^2 at that base point
+    (`projected_sample`).  nu_trace[k] is the exact class there, not at the
+    float point itself.
     """
     n = dist.chart.dim
-    nu0, dims0, _, (gens, tower) = _class_iteration(dist, sample,
-                                                    keep_tower=True)
-    gen_evs = [compile_field(g) for g in gens]
-    tower_evs = [compile_field(b) for b in tower]
     if stride is None:
         stride = max(1, (len(traj.states) - 1) // 10)
     idxs = list(range(0, len(traj.states), stride))
     if idxs[-1] != len(traj.states) - 1:
         idxs.append(len(traj.states) - 1)
-    nu_trace = []
-    marg_trace = []
-    for i in idxs:
-        state = np.array(traj.states[i])
-        rows = [ev(state) for ev in gen_evs]
-        rank, marg = _float_rank(rows)
-        nu = None
-        for j, ev in enumerate(tower_evs):
-            rows.append(ev(state))
-            r2, m2 = _float_rank(rows)
-            marg = marg or m2
-            if r2 == rank:
-                nu = j
-                break
-            rank = r2
-        if nu is None:
-            # tower exhausted while still climbing; report the cap reached
-            nu = len(tower_evs)
-            marg = True
-        nu_trace.append(nu)
-        marg_trace.append(marg)
-    if nu_trace[0] != nu0 and not marg_trace[0]:
-        raise PreconditionError("float class %d at t=0 disagrees with the "
-                                "exact class %d" % (nu_trace[0], nu0))
-    # the anchor: at t = 0 the exact class replaces the float decision
-    nu_trace[0], marg_trace[0] = nu0, False
-    return corank_report(n, nu_trace, marg_trace)
+    samples = [sample]
+    for i in idxs[1:]:
+        x = [as_q(float(v)) for v in traj.states[i]]
+        samples.append(projected_sample(dist, x[:n], x[n:]))
+    return corank_report(n, [class_at_sample(dist, s)[0] for s in samples])
 
 
-def corank_report(n, nu_trace, marg_trace):
+def corank_report(n, nu_trace):
     """Corank bound n-2-nu at the endpoint; corank is claimed to be
     exactly 1 only at maximal class (where the bound meets the universal
     corank >= 1 of abnormal extremal trajectories)."""
@@ -217,11 +175,8 @@ def corank_report(n, nu_trace, marg_trace):
     note = ("class is maximal at the endpoint: corank = 1 (the bound "
             "n-2-nu meets the universal corank >= 1)" if claim else
             "corank bound only; no exact corank claim at non-maximal class")
-    if any(marg_trace):
-        note += "; WARNING: numerically marginal rank decisions present"
-    return CorankReport(nu_trace=list(nu_trace), marginal=list(marg_trace),
-                        nu_endpoint=nu_end, corank_bound=bound,
-                        corank_claim=claim, note=note)
+    return CorankReport(nu_trace=list(nu_trace), nu_endpoint=nu_end,
+                        corank_bound=bound, corank_claim=claim, note=note)
 
 
 def endpoint_errors(dist, sample, T, steps_list, ref_mult=8):

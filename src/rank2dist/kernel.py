@@ -784,15 +784,6 @@ class QEchelon:
         return not any(self.reduce([as_q(x) for x in row]))
 
 
-def q_rank(rows, ncols=None):
-    if not rows:
-        return 0
-    ech = QEchelon(ncols if ncols is not None else len(rows[0]))
-    for r in rows:
-        ech.add(r)
-    return ech.rank
-
-
 def q_rref(rows, ncols):
     """Reduced row echelon form; returns (rows, pivot_cols)."""
     mat = [[as_q(x) for x in r] for r in rows]

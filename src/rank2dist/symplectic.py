@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import InvariantViolation, PreconditionError, SamplingFailure
 from .kernel import (Q, QEchelon, RatFunc, as_q, clear_denominators,
-                     q_nullspace, rf_nullspace, rf_solve_minimal)
+                     q_nullspace, q_solve, rf_nullspace, rf_solve_minimal)
 from .geometry import Chart, VectorField, lie_bracket
 from .distribution import per_distribution, square_fields, square_words
 
@@ -133,40 +133,65 @@ class CovectorSample:
                               [c * v for v in self.h_values])
 
 
+def _square_values(dist, q):
+    """Values of X1..X5 at q, checked to span a 5-dimensional D^3(q); then
+    X1, X2, X3 are independent too."""
+    values = [dist.word_value(w, q) for w in square_words(dist)]
+    ech = QEchelon(dist.chart.dim)
+    cube = sum(1 for v in values if ech.add(v))
+    if cube != 5:
+        raise PreconditionError("dim D^3 = %d at the base point (need 5)"
+                                % cube)
+    return values
+
+
+def _dot(a, b):
+    return sum((x * y for x, y in zip(a, b)), Q(0))
+
+
+def _sample_or_none(q, p, values):
+    """The covector sample (q, p) for p annihilating D^2(q), or None when p
+    annihilates D^3(q) as well."""
+    h4, h5 = _dot(p, values[3]), _dot(p, values[4])
+    if not (h4 or h5):
+        return None
+    return CovectorSample(list(map(as_q, q)), p, [Q(0), Q(0), Q(0), h4, h5])
+
+
 def fiber_sample(dist, q, seed=0, rng=None, budget=200):
     """Exact rational covector over q annihilating D^2 but not D^3.
 
     Draws seeded random rational combinations of an exact nullspace basis
     of the value matrix of (X1, X2, [X1, X2]) at q until (h4, h5) != (0,0).
-    D^3(q) is spanned by the values of X1..X5, so their rank is dim D^3(q).
     """
+    values = _square_values(dist, q)
     n = dist.chart.dim
-    values = [dist.word_value(w, q) for w in square_words(dist)]
-    ech = QEchelon(n)
-    cube = sum(1 for v in values if ech.add(v))
-    if cube != 5:
-        raise PreconditionError("dim D^3 = %d at the base point (need 5)"
-                                % cube)
-    rank, basis = q_nullspace(values[:3], n)
-    if rank != 3 or len(basis) != n - 3:
-        raise PreconditionError("annihilator of D^2 at q has dimension %d"
-                                % len(basis))
-    v4, v5 = values[3:]
+    _, basis = q_nullspace(values[:3], n)
     if rng is None:
         rng = random.Random(seed)
     for _ in range(budget):
         coeffs = [Q(rng.randint(-9, 9)) for _ in basis]
         p = [sum((c * b[i] for c, b in zip(coeffs, basis)), Q(0))
              for i in range(n)]
-        if not any(p):
-            continue
-        h4 = sum((pi * vi for pi, vi in zip(p, v4)), Q(0))
-        h5 = sum((pi * vi for pi, vi in zip(p, v5)), Q(0))
-        if h4 or h5:
-            return CovectorSample(list(map(as_q, q)), p,
-                                  [Q(0), Q(0), Q(0), h4, h5])
+        s = _sample_or_none(q, p, values)
+        if s is not None:
+            return s
     raise SamplingFailure("no covector off the annihilator of D^3 found "
                           "in %d draws" % budget)
+
+
+def projected_sample(dist, q, p):
+    """Covector sample over q whose momentum is the exact orthogonal
+    projection of p onto the annihilator of D^2(q), D^2 = span{X1, X2, X3}."""
+    values = _square_values(dist, q)
+    square = values[:3]
+    c = q_solve([[_dot(a, b) for b in square] for a in square],
+                [_dot(a, p) for a in square], 3)
+    p = [pi - _dot(c, col) for pi, col in zip(p, zip(*square))]
+    s = _sample_or_none(q, p, values)
+    if s is None:
+        raise PreconditionError("covector annihilates D^3")
+    return s
 
 
 @per_distribution
@@ -206,15 +231,17 @@ def _lift(dist):
 
 
 def cone_J_generators(dist, sample):
-    """n-1 generators of the lifted distribution, checked to be independent
-    at a covector sample (see `_lift`)."""
+    """(generators, values): the n-1 generators of the lifted distribution
+    (see `_lift`) and their values at a covector sample, checked to be
+    independent there."""
     gens = _lift(dist)
     ech = QEchelon(2 * dist.chart.dim)
-    for g in gens:
-        if not ech.add(g.at(sample.point)):
+    values = [g.at(sample.point) for g in gens]
+    for v in values:
+        if not ech.add(v):
             raise SamplingFailure("lifted generators degenerate at the "
                                   "sample; resample")
-    return gens
+    return gens, values
 
 
 def _cleared(vf):
@@ -231,19 +258,17 @@ def _ad_char(dist, j, i):
     return None if b.is_zero() else _cleared(b)
 
 
-def _class_iteration(dist, sample, depth_cap=None, keep_tower=False):
-    """Shared flag iteration: returns (nu, dims, level_values, fields).
+def _class_iteration(dist, sample, depth_cap=None):
+    """Shared flag iteration: returns (nu, dims, level_values).
 
     level_values[i] is a pointwise-independent list of tangent vectors at
     the sample spanning the i-th osculating space (cone dimensions); dims
     includes the repeated stabilized rank as its last entry.
 
-    With keep_tower=True, `fields` is (initial_generators, tower): the
-    pointwise-independent generators at the sample plus the chain of
-    bracket fields added per round, ending with one bracket that did not
-    increase the rank (for stabilization detection at other points).
-
-    The symbolic fields are shared per distribution (`_ad_char`); each is
+    Round 0 takes the generator values of `cone_J_generators`.  Where they
+    are defined, clearing denominators only scales them by a nonzero
+    factor, so the spans agree with those of the cleared fields.  The
+    bracket fields are shared per distribution (`_ad_char`); each is
     evaluated once at the sample.
     """
     n = dist.chart.dim
@@ -253,56 +278,39 @@ def _class_iteration(dist, sample, depth_cap=None, keep_tower=False):
     lam = sample.point
     if not any(xc.at(lam)):
         raise PreconditionError("characteristic field vanishes at the sample")
-    gens = cone_J_generators(dist, sample)
+    _, values = cone_J_generators(dist, sample)
     ech = QEchelon(2 * n)
-    kept = []           # (generator index, field, value at the sample)
-    for j in range(len(gens)):
-        g = _ad_char(dist, j, 0)
-        v = g.at(lam)
-        if not any(v):
-            raise SamplingFailure("denominator clearing killed a generator "
-                                  "at the sample; resample")
-        if ech.add(v):
-            kept.append((j, g, v))
+    for v in values:
+        ech.add(v)
     dims = [ech.rank]
-    levels = [[v for _, _, v in kept]]
-    frontier = kept
-    tower = []
-    stale = []
+    levels = [values]
+    frontier = range(len(values))
     nu = None
     for i in range(1, depth_cap + 1):
         new = []
-        round_stale = []
-        for j, _, _ in frontier:
+        for j in frontier:
             b = _ad_char(dist, j, i)
             if b is None:
                 continue
             v = b.at(lam)
             if ech.add(v):
-                new.append((j, b, v))
-            else:
-                round_stale.append(b)
+                new.append((j, v))
         if len(new) > 1:
             raise InvariantViolation("flag rank jumped by %d in one round"
                                      % len(new))
         dims.append(ech.rank)
-        levels.append(levels[-1] + [v for _, _, v in new])
+        levels.append(levels[-1] + [v for _, v in new])
         if not new:
             nu = i - 1
-            stale = round_stale
             break
-        tower.extend(b for _, b, _ in new)
-        frontier = new
+        frontier = [j for j, _ in new]
     if nu is None:
         raise PreconditionError("flag failed to stabilize within depth "
                                 "cap %d" % depth_cap)
     if nu > n - 3 or dims[0] != n - 1 or dims[-1] > 2 * n - 4:
         raise InvariantViolation("class %d or cone dims %s break nu <= n-3 "
                                  "or n-1 <= dims <= 2n-4" % (nu, dims))
-    kept = [g for _, g, _ in kept]
-    if keep_tower:
-        return nu, tuple(dims), levels, (kept, tower + stale[:1])
-    return nu, tuple(dims), levels, kept
+    return nu, tuple(dims), levels
 
 
 def class_at_sample(dist, sample, depth_cap=None):
@@ -311,7 +319,7 @@ def class_at_sample(dist, sample, depth_cap=None):
     The trace starts at n-1, increases by at most 1 per round, and ends
     with the stabilized rank repeated once.
     """
-    nu, dims, _, _ = _class_iteration(dist, sample, depth_cap)
+    nu, dims, _ = _class_iteration(dist, sample, depth_cap)
     return nu, dims
 
 
@@ -392,7 +400,7 @@ def pointwise_full_flag(dist, sample, depth_cap=None):
     n = dist.chart.dim
     ct, hs = hamiltonians(dist)
     lam = sample.point
-    nu, dims, levels, _ = _class_iteration(dist, sample, depth_cap)
+    nu, dims, levels = _class_iteration(dist, sample, depth_cap)
     # constraint rows for H: gradients of h1, h2, h3 and the tautological row
     names = ct.chart.coords
     h_rows = []

@@ -91,13 +91,26 @@ class TestTrace:
         validate(rep)
 
     def test_t0_reports_the_exact_class(self, tmp_path):
-        # the float rank at t=0 is marginal here and reads 4
+        # the exact class at the starting covector is 5 = n - 3
         code, rep = run_cli(["trace", "--model", "monge", "--n", "8",
                              "--seed", "0", "--T", "0.25", "--steps", "50"],
                             tmp_path)
         assert code == 0
         assert rep["nu_trace"][0] == 5
-        assert rep["nu_marginal"][0] is False
+
+    @pytest.mark.parametrize("args", [
+        ["--n", "8", "--seed", "3"],
+        ["--n", "10", "--seed", "35754"],
+        ["--n", "6", "--seed", "856657", "--T", "0.25", "--steps", "6000"],
+    ], ids=["n8-seed3", "n10-seed35754", "n6-seed856657"])
+    def test_flat_model_class_is_maximal_along_the_trace(self, args,
+                                                          tmp_path):
+        # a float rank once read a lower class at some states of these runs
+        code, rep = run_cli(["trace", "--model", "monge"] + args, tmp_path)
+        assert code == 0
+        n = int(args[1])
+        assert rep["nu_trace"] == [n - 3] * len(rep["nu_trace"])
+        validate(rep)
 
     def test_trace_needs_cube5(self, tmp_path, capsys):
         code, rep = run_cli(["trace", "--model", "cartan-jet", "--k", "3"],

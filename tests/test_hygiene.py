@@ -1,6 +1,7 @@
 """Source hygiene checks that stand in for a linter: no unused imports in the
-package, packed-monomial bit access only inside the kernel, and no `assert`
-statements (they vanish under `python -O`; invariants raise errors)."""
+package, packed-monomial bit access only inside the kernel, no float linear
+algebra (ranks are decided exactly), and no `assert` statements (they vanish
+under `python -O`; invariants raise errors)."""
 
 import ast
 import re
@@ -40,6 +41,13 @@ def test_no_unused_imports(path):
 def test_packed_monomials_stay_in_kernel(path):
     hits = [i for i, line in enumerate(path.read_text().splitlines(), 1)
             if re.search(r"0xFFFF|\b_MASK\b|\b_BITS\b", line, re.IGNORECASE)]
+    assert hits == []
+
+
+def test_no_float_rank_decisions():
+    hits = [(p.name, i) for p in SOURCES
+            for i, line in enumerate(p.read_text().splitlines(), 1)
+            if re.search(r"linalg|svd", line, re.IGNORECASE)]
     assert hits == []
 
 

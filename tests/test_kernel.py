@@ -6,11 +6,12 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from rank2dist.kernel import (PoleError, Poly, PolyRing, Q, RatFunc,
-                              ZeroDenominatorError, as_q, clear_denominators,
-                              divexact, poly_gcd, q_inverse, q_nullspace,
-                              q_rank, q_rref, q_solve, q_sparse_nullspace,
-                              rf_nullspace, rf_rref, rf_solve_minimal)
+from rank2dist.kernel import (PoleError, Poly, PolyRing, Q, QEchelon,
+                              RatFunc, ZeroDenominatorError, as_q,
+                              clear_denominators, divexact, poly_gcd,
+                              q_inverse, q_nullspace, q_rref, q_solve,
+                              q_sparse_nullspace, rf_nullspace, rf_rref,
+                              rf_solve_minimal)
 from rank2dist import kernel
 
 R3 = PolyRing(("x", "y", "z"))
@@ -215,11 +216,18 @@ class TestRatFunc:
 
 # -- linear algebra over Q --------------------------------------------------
 
+def echelon(rows, ncols):
+    ech = QEchelon(ncols)
+    for r in rows:
+        ech.add(r)
+    return ech
+
+
 class TestQLinear:
     def test_rank(self):
         rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-        assert q_rank(rows, 3) == 2
-        assert q_rank(rows, 3) == sp.Matrix(rows).rank()
+        assert echelon(rows, 3).rank == 2
+        assert echelon(rows, 3).rank == sp.Matrix(rows).rank()
 
     def test_nullspace(self):
         rows = [[1, 2, 3], [0, 1, 1]]
@@ -256,7 +264,7 @@ class TestQLinear:
     def test_rank_matches_sympy(self, rows):
         mat = [[sp.Rational(int(x.numerator), int(x.denominator))
                 for x in r] for r in rows]
-        assert q_rank(rows, 3) == sp.Matrix(mat).rank()
+        assert echelon(rows, 3).rank == sp.Matrix(mat).rank()
 
 
 class TestQSparseNullspace:

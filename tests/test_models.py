@@ -46,10 +46,12 @@ class TestMongeModel:
     def test_pfaffian_forms_independent(self):
         dist = monge_model(5)
         forms = monge_pfaffian_forms(5)
-        from rank2dist.kernel import q_rank
-        rows = [[c.eval([Q(1), Q(2), Q(3), Q(4), Q(5)]) for c in w.components]
-                for w in forms]
-        assert q_rank(rows, 5) == 3
+        from rank2dist.kernel import QEchelon
+        ech = QEchelon(5)
+        for w in forms:
+            ech.add([c.eval([Q(1), Q(2), Q(3), Q(4), Q(5)])
+                     for c in w.components])
+        assert ech.rank == 3
 
 
 class TestProlong:

@@ -14,7 +14,7 @@ from rank2dist.symplectic import (CotangentChart, annihilator_basis,
                                   char_field, class_at_point, class_at_sample,
                                   cone_J_generators, fiber_sample,
                                   hamiltonians, pointwise_full_flag,
-                                  square_fields)
+                                  projected_sample, square_fields)
 
 from oracles import class_trace_oracle, monge_frame, poisson_oracle, sym_vars
 
@@ -113,6 +113,29 @@ class TestFiberSample:
             assert len(annihilator_basis(monge_model(n))) == n - 3
 
 
+class TestProjectedSample:
+    def test_projection_is_exact_and_orthogonal(self):
+        dist = monge_model(7)
+        rng = random.Random(3)
+        q = [Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(7)]
+        p = [Q(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(7)]
+        s = projected_sample(dist, q, p)
+        _, hs = hamiltonians(dist)
+        assert [h.eval(s.point) for h in hs] == s.h_values
+        assert s.h_values[:3] == [0, 0, 0]
+        # the removed part p - p' lies in span{X1, X2, X3}(q)
+        ech = QEchelon(7)
+        for f in square_fields(dist)[:3]:
+            ech.add(f.at(q))
+        assert ech.contains([a - b for a, b in zip(p, s.momentum)])
+
+    def test_fiber_sample_is_fixed(self):
+        dist = monge_model(6)
+        s = fiber_sample(dist, origin(dist), seed=2)
+        t = projected_sample(dist, s.base_point, s.momentum)
+        assert t.momentum == s.momentum and t.h_values == s.h_values
+
+
 class TestClass:
     def test_monge5_trace(self):
         dist = monge_model(5)
@@ -190,7 +213,7 @@ class TestConeGenerators:
         # brackets of the lifted generators stay inside the next flag level
         dist = monge_model(5)
         s = fiber_sample(dist, origin(dist))
-        gens = cone_J_generators(dist, s)
+        gens, _ = cone_J_generators(dist, s)
         lam = s.point
         n2 = 2 * dist.chart.dim
         ech = QEchelon(n2)
