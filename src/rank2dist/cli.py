@@ -8,6 +8,7 @@ parse errors, 2 geometric precondition failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
@@ -29,12 +30,24 @@ EXIT_INPUT = 1
 EXIT_PRECONDITION = 2
 
 
-def _q_str(v):
-    return str(as_q(v))
+@contextlib.contextmanager
+def _unlimited_digits():
+    """Lift Python's int-to-string digit limit while exact values are
+    formatted for a report; parsing input keeps the limit."""
+    # Pythons before 3.10.7 have no limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _point_str(pt):
-    return [_q_str(v) for v in pt]
+    with _unlimited_digits():
+        return [str(as_q(v)) for v in pt]
 
 
 _POINT_COORD = re.compile(r"[+-]?(?:\d+/\d+|\d*\.?\d+)")
@@ -202,8 +215,13 @@ def cmd_symmetries(args):
         "stabilized": basis.stabilized,
         "stable_degree": basis.stable_degree,
         "weights": basis.weights,
-        "basis": [[c.to_str() for c in f.components] for f in basis.basis],
+        "basis": _basis_str(basis.basis),
     }
+
+
+def _basis_str(fields):
+    with _unlimited_digits():
+        return [[c.to_str() for c in f.components] for f in fields]
 
 
 def build_parser():

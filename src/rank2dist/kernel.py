@@ -11,7 +11,9 @@ The monomial order used for leading terms is graded lexicographic.
 from __future__ import annotations
 
 import heapq
+from functools import reduce
 from math import isqrt, lcm
+from operator import or_
 
 try:
     from gmpy2 import mpq as Q
@@ -63,6 +65,9 @@ class PolyRing:
         ring.n = len(names)
         ring.index = {nm: i for i, nm in enumerate(names)}
         ring.shifts = tuple(i * _BITS for i in range(len(names)))
+        # the top bit of every exponent field: a product can overflow a
+        # field only if one of its factors sets that field's top bit
+        ring.top = sum(1 << (s + _BITS - 1) for s in ring.shifts)
         cls._cache[names] = ring
         return ring
 
@@ -74,6 +79,9 @@ class PolyRing:
     def encode(self, exps):
         key = 0
         for s, e in zip(self.shifts, exps):
+            if not 0 <= e <= _MASK:
+                raise OverflowError("exponent %d outside 0..%d"
+                                    % (e, MAX_EXPONENT))
             key |= e << s
         return key
 
@@ -209,6 +217,8 @@ class Poly:
         a, b = self.terms, other.terms
         if not a or not b:
             return Poly(self.ring, {})
+        if (reduce(or_, a, 0) | reduce(or_, b, 0)) & self.ring.top:
+            _check_product_exponents(self.ring, a, b)
         if len(a) > len(b):
             a, b = b, a
         out = {}
@@ -367,6 +377,16 @@ class Poly:
                 parts.append(str(c) + "*" + "*".join(factors))
         s = " + ".join(parts)
         return s.replace("+ -", "- ")
+
+
+def _check_product_exponents(ring, a, b):
+    """OverflowError unless every exponent of a product of the term dicts
+    a and b fits its packed field."""
+    for s in ring.shifts:
+        if (max((k >> s) & _MASK for k in a) +
+                max((k >> s) & _MASK for k in b)) > MAX_EXPONENT:
+            raise OverflowError("exponent of a variable exceeds %d"
+                                % MAX_EXPONENT)
 
 
 def add_product(acc, p, q, scale=1):
@@ -879,35 +899,61 @@ def _echelon_mod(rows, ncols, p):
     its minimum column.  Stops once the rank reaches ncols."""
     piv = {}
     for src in rows:
-        row = {}
-        for c, a in src.items():
-            a %= p
-            if a:
-                row[c] = a
-        hits = [c for c in row if c in piv]
-        heapq.heapify(hits)
-        while hits:
-            c = heapq.heappop(hits)
-            a = row.pop(c, 0)
-            if not a:
-                continue
-            # pivot rows hold only columns right of their pivot, so popping
-            # in increasing order eliminates every pivot column once
-            for cc, v in piv[c].items():
-                nv = (row.get(cc, 0) - a * v) % p
-                if nv:
-                    if cc not in row and cc in piv:
-                        heapq.heappush(hits, cc)
-                    row[cc] = nv
-                else:
-                    row.pop(cc, None)
-        if row:
-            c = min(row)
-            inv = pow(row.pop(c), -1, p)
-            piv[c] = {cc: v * inv % p for cc, v in row.items()}
-            if len(piv) == ncols:
-                break
+        if _add_row_mod(piv, src, p) and len(piv) == ncols:
+            break
     return piv
+
+
+def _add_row_mod(piv, src, p):
+    """Reduce the integer row src ({col: a}) by the echelon form piv of
+    `_echelon_mod` and add what is left as a new pivot row; returns True
+    if it raised the rank."""
+    row = {}
+    for c, a in src.items():
+        a %= p
+        if a:
+            row[c] = a
+    hits = [c for c in row if c in piv]
+    heapq.heapify(hits)
+    while hits:
+        c = heapq.heappop(hits)
+        a = row.pop(c, 0)
+        if not a:
+            continue
+        # pivot rows hold only columns right of their pivot, so popping
+        # in increasing order eliminates every pivot column once
+        for cc, v in piv[c].items():
+            nv = (row.get(cc, 0) - a * v) % p
+            if nv:
+                if cc not in row and cc in piv:
+                    heapq.heappush(hits, cc)
+                row[cc] = nv
+            else:
+                row.pop(cc, None)
+    if not row:
+        return False
+    c = min(row)
+    inv = pow(row.pop(c), -1, p)
+    piv[c] = {cc: v * inv % p for cc, v in row.items()}
+    return True
+
+
+class ModEchelon:
+    """Incremental row echelon over the integers modulo a prime p, for
+    ranks."""
+
+    def __init__(self, p):
+        self.p = p
+        self.pivots = {}
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+    def add(self, row):
+        """Insert a row of integers; returns True if it increased the
+        rank."""
+        return _add_row_mod(self.pivots, dict(enumerate(row)), self.p)
 
 
 def _back_substitute_mod(piv, p):
@@ -923,6 +969,16 @@ def _back_substitute_mod(piv, p):
                     row[cc] = nv
                 else:
                     row.pop(cc, None)
+
+
+def q_residue(x, p):
+    """The rational x as an integer modulo the prime p; ZeroDivisionError
+    if p divides its denominator."""
+    x = as_q(x)
+    d = int(x.denominator) % p
+    if not d:
+        raise ZeroDivisionError("denominator divisible by %d" % p)
+    return int(x.numerator) * pow(d, -1, p) % p
 
 
 def _rational_reconstruction(u, m):

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import lcm
 
 from .errors import InvariantViolation, PreconditionError, SamplingFailure
-from .kernel import (Q, QEchelon, RatFunc, as_q, clear_denominators,
-                     q_nullspace, q_solve, rf_nullspace, rf_solve_minimal)
-from .geometry import Chart, VectorField, lie_bracket
+from .kernel import (Q, QEchelon, RatFunc, _word_primes, as_q, q_nullspace,
+                     q_solve, rf_nullspace, rf_solve_minimal)
+from .geometry import BracketSeries, Chart, VectorField
 from .distribution import per_distribution, square_fields, square_words
 
 CONVENTION_NOTE = ("cone convention: computed on the full cotangent bundle; "
@@ -244,42 +245,39 @@ def cone_J_generators(dist, sample):
     return gens, values
 
 
-def _cleared(vf):
-    return VectorField(vf.chart, clear_denominators(list(vf.components)))
-
-
 @per_distribution
-def _ad_char(dist, j, i):
-    """ad_{X_C}^i of the j-th lifted generator with denominators cleared
-    after each bracket, or None if it vanishes."""
-    if i == 0:
-        return _cleared(_lift(dist)[j])
-    b = lie_bracket(char_field(dist)[1], _ad_char(dist, j, i - 1))
-    return None if b.is_zero() else _cleared(b)
+def _bracket_series(dist):
+    """X_C and the lifted generators, compiled for the tower values
+    ad_{X_C}^i g_j(lambda) from series along the X_C flow."""
+    return BracketSeries(char_field(dist)[1], _lift(dist))
 
 
-def _class_iteration(dist, sample, depth_cap=None):
-    """Shared flag iteration: returns (nu, dims, level_values).
+def _class_iteration(dist, sample, depth_cap=None, p=None):
+    """Shared flag iteration over Q (p None) or modulo the prime p:
+    returns (nu, dims, level_values).
 
     level_values[i] is a pointwise-independent list of tangent vectors at
     the sample spanning the i-th osculating space (cone dimensions); dims
     includes the repeated stabilized rank as its last entry.
 
-    Round 0 takes the generator values of `cone_J_generators`.  Where they
-    are defined, clearing denominators only scales them by a nonzero
-    factor, so the spans agree with those of the cleared fields.  The
-    bracket fields are shared per distribution (`_ad_char`); each is
-    evaluated once at the sample.
+    Round i reads ad_{X_C}^i g_j(lambda) for the generators j that raised
+    the rank in round i-1 from power series along the X_C trajectory
+    through lambda (`BracketSeries`), to the order that round needs.  Over
+    Q, round 0 takes the generator values of `cone_J_generators`, so poles
+    and degenerate generators raise the errors of direct evaluation;
+    modulo p they surface as PoleError and InvariantViolation.
     """
     n = dist.chart.dim
     if depth_cap is None:
         depth_cap = n
-    _, xc = char_field(dist)
-    lam = sample.point
-    if not any(xc.at(lam)):
+    flow = _bracket_series(dist).at(sample.point, p)
+    if not any(flow.field_value()):
         raise PreconditionError("characteristic field vanishes at the sample")
-    _, values = cone_J_generators(dist, sample)
-    ech = QEchelon(2 * n)
+    if p is None:
+        _, values = cone_J_generators(dist, sample)
+    else:
+        values = [flow.ad(j, 0) for j in range(n - 1)]
+    ech = flow.echelon()
     for v in values:
         ech.add(v)
     dims = [ech.rank]
@@ -289,10 +287,7 @@ def _class_iteration(dist, sample, depth_cap=None):
     for i in range(1, depth_cap + 1):
         new = []
         for j in frontier:
-            b = _ad_char(dist, j, i)
-            if b is None:
-                continue
-            v = b.at(lam)
+            v = flow.ad(j, i)
             if ech.add(v):
                 new.append((j, v))
         if len(new) > 1:
@@ -313,12 +308,41 @@ def _class_iteration(dist, sample, depth_cap=None):
     return nu, tuple(dims), levels
 
 
+def _sample_prime(dist, sample):
+    """The first word-size prime that divides no denominator of the sample
+    coordinates or of the compiled fields."""
+    den = _bracket_series(dist).den
+    for v in sample.point:
+        den = lcm(den, int(as_q(v).denominator))
+    return next(p for p in _word_primes() if den % p)
+
+
 def class_at_sample(dist, sample, depth_cap=None):
     """(class nu, cone dims trace) at one covector sample.
 
     The trace starts at n-1, increases by at most 1 per round, and ends
     with the stabilized rank repeated once.
+
+    The iteration runs modulo a word-size prime first.  A run that ends
+    with nu = n-3 within depth_cap is exact: the residues are reductions
+    of the exact tower values, and a rank modulo p is a lower bound of the
+    rank over Q of the same vectors.  So the flag at the sample has at
+    least the maximal dims n-1, n, ..., 2n-4, which its bounds (one rise
+    per round, dims <= 2n-4) allow no exact run to exceed.  A maximal flag
+    has constant rank near the sample, and there the frontier rule spans
+    the whole flag, so the exact run gives the same trace.  Any other
+    outcome (a non-maximal sample, a pole or a degenerate reduction modulo
+    p, an error) is decided by the exact run over Q, which raises every
+    error.
     """
+    n = dist.chart.dim
+    try:
+        nu, dims, _ = _class_iteration(dist, sample, depth_cap,
+                                       _sample_prime(dist, sample))
+        if nu == n - 3:
+            return nu, dims
+    except (ArithmeticError, PreconditionError):
+        pass
     nu, dims, _ = _class_iteration(dist, sample, depth_cap)
     return nu, dims
 

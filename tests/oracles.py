@@ -1,7 +1,10 @@
-"""Independent sympy-based oracles for cross-checking derived values.
+"""Independent oracles for cross-checking derived values.
 
-Everything here is deliberately naive: dense sympy expressions, textbook
-formulas, no shared code with the package under test.
+Everything here is deliberately naive: dense sympy expressions and
+textbook formulas with no shared code with the package under test.  The
+one exception is `symbolic_class_tower`, which replays the class tower on
+the package's own exact vector fields with symbolic Lie brackets, the path
+that flow series replaced.
 """
 
 import itertools
@@ -203,3 +206,41 @@ def symmetry_dim_oracle(frame, coords, forms, d):
                 rows.extend(sp.Poly(e, *coords).coeffs())
     a, _ = sp.linear_eq_to_matrix(rows, coeffs)
     return len(coeffs) - a.rank()
+
+
+def symbolic_class_tower(dist, sample, depth_cap=None):
+    """(nu, dims, level values) of the class iteration with symbolic
+    brackets: ad_{X_C}^i of each lifted generator built by `lie_bracket`,
+    denominators cleared after each bracket, and evaluated at the sample,
+    with the frontier rule of the package (a generator is bracketed again
+    only while its last bracket raised the rank)."""
+    from rank2dist.geometry import VectorField, lie_bracket
+    from rank2dist.kernel import QEchelon, clear_denominators
+    from rank2dist.symplectic import _lift, char_field
+
+    def cleared(vf):
+        return VectorField(vf.chart, clear_denominators(list(vf.components)))
+
+    n = dist.chart.dim
+    _, xc = char_field(dist)
+    lam = sample.point
+    fields = [cleared(g) for g in _lift(dist)]
+    values = [g.at(lam) for g in _lift(dist)]
+    ech = QEchelon(2 * n)
+    for v in values:
+        ech.add(v)
+    dims, levels = [ech.rank], [values]
+    frontier = range(len(fields))
+    for i in range(1, (depth_cap or n) + 1):
+        new = []
+        for j in frontier:
+            fields[j] = cleared(lie_bracket(xc, fields[j]))
+            v = fields[j].at(lam)
+            if ech.add(v):
+                new.append((j, v))
+        dims.append(ech.rank)
+        levels.append(levels[-1] + [v for _, v in new])
+        if not new:
+            return i - 1, tuple(dims), levels
+        frontier = [j for j, _ in new]
+    raise AssertionError("tower did not stabilize")

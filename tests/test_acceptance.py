@@ -5,8 +5,6 @@ Run with `pytest -s tests/test_acceptance.py` to see the lines as they go.
 
 import random
 
-import pytest
-
 from rank2dist.distribution import tanaka_symbol, weak_flag
 from rank2dist.geometry import Chart, lie_bracket
 from rank2dist.kernel import Q
@@ -58,12 +56,21 @@ def test_criterion_2_free_step4_flat_model():
            "free step-4 flat model (n=8): m=%d" % rep.m)
 
 
-@pytest.mark.slow
 def test_criterion_2_stretch_free_step5():
     dist = flat_from_symbol(free_nilpotent_symbol(5))
     rep = class_at_point(dist, origin(dist), samples=2, seed=0)
     report("2-stretch", rep.m == 11 and rep.maximal_class,
            "free step-5 flat model (n=14): m=%d" % rep.m)
+
+
+def test_criterion_2_stretch_free_step6():
+    # the main theorem (maximal class at generic points) on a case the
+    # paper does not compute
+    dist = flat_from_symbol(free_nilpotent_symbol(6))
+    assert dist.chart.dim == 23
+    rep = class_at_point(dist, origin(dist), samples=2, seed=0)
+    report("2-stretch", rep.m == 20 and rep.maximal_class,
+           "free step-6 flat model (n=23): m=%d" % rep.m)
 
 
 def test_criterion_3_jet_charts_route_to_deprolongation():

@@ -138,6 +138,37 @@ class TestSymmetries:
         assert rep["stabilized"] is False
 
 
+class TestLongCoefficients:
+    def test_report_prints_values_past_the_digit_limit(self, tmp_path):
+        # z' = 2^15000 y2^2: the fiber samples have coordinates of about
+        # 4500 decimal digits, past Python's int-to-string limit
+        p = tmp_path / "long.json"
+        p.write_text(json.dumps({
+            "coordinates": ["x", "y0", "y1", "y2", "z"],
+            "fields": [["1", "y1", "y2", "0", "2^15000*y2^2"],
+                       ["0", "0", "0", "1", "0"]],
+            "point": ["0", "0", "0", "1", "0"],
+        }))
+        limit = sys.get_int_max_str_digits()
+        code, rep = run_cli(["analyze", "--input", str(p), "--samples", "1"],
+                            tmp_path)
+        assert code == 0
+        assert rep["class"]["m"] == 2
+        momentum = rep["class"]["samples"][0]["momentum"]
+        assert max(len(v) for v in momentum) > limit
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_parsing_keeps_the_digit_limit(self, tmp_path, capsys):
+        p = tmp_path / "long_literal.json"
+        p.write_text(json.dumps({
+            "coordinates": ["x", "y", "z"],
+            "fields": [["1", "0", "1" * 5000 + "*y"], ["0", "1", "0"]],
+        }))
+        code, _ = run_cli(["analyze", "--input", str(p)], tmp_path)
+        assert code == 1
+        assert "limit" in capsys.readouterr().err
+
+
 class TestErrors:
     def test_missing_model_and_input(self, tmp_path):
         code, _ = run_cli(["analyze"], tmp_path)
@@ -205,6 +236,18 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("input error:")
         assert len(err.strip().splitlines()) == 1
+
+    def test_product_exponent_overflow_is_an_input_error(self, tmp_path,
+                                                         capsys):
+        # x^40000*x^40000 used to wrap into x^14464*y
+        p = tmp_path / "wrap.json"
+        p.write_text(json.dumps({
+            "coordinates": ["x", "y", "z"],
+            "fields": [["1", "0", "x^40000*x^40000"], ["0", "1", "0"]],
+        }))
+        code, _ = run_cli(["analyze", "--input", str(p)], tmp_path)
+        assert code == 1
+        assert "exceeds 65535" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         code, _ = run_cli(["analyze", "--input",

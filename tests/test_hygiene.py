@@ -1,7 +1,8 @@
 """Source hygiene checks that stand in for a linter: no unused imports in the
 package, packed-monomial bit access only inside the kernel, no float linear
-algebra (ranks are decided exactly), and no `assert` statements (they vanish
-under `python -O`; invariants raise errors)."""
+algebra (ranks are decided exactly), no symbolic brackets in the class
+tower, and no `assert` statements (they vanish under `python -O`;
+invariants raise errors)."""
 
 import ast
 import re
@@ -84,6 +85,19 @@ def _word_field_evaluations(path):
 def test_word_values_come_from_the_memo():
     assert [hit for path in SOURCES
             for hit in _word_field_evaluations(path)] == []
+
+
+def _names(path):
+    tree = ast.parse(path.read_text())
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} |
+            {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)} |
+            {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+             for a in n.names})
+
+
+def test_class_tower_has_no_symbolic_brackets():
+    # the tower values come from flow series (geometry.BracketSeries)
+    assert "lie_bracket" not in _names(PKG / "symplectic.py")
 
 
 def test_assert_check_sees_an_assert(tmp_path):

@@ -71,6 +71,22 @@ class TestPoly:
         with pytest.raises(OverflowError):
             (X * Y ** 2) ** 32768
 
+    def test_product_exponent_overflow(self):
+        # 40000 + 40000 used to carry into the next variable's field
+        assert X ** 32768 * X ** 32767 == X ** 65535
+        assert (X ** 40000 + Y) * Y ** 40000 == X ** 40000 * Y ** 40000 + \
+            Y ** 40001
+        for a, b in ((X ** 40000, X ** 40000), (X ** 65535, X + 1),
+                     (Y + Z ** 40000, X * Z ** 30000)):
+            with pytest.raises(OverflowError):
+                a * b
+
+    def test_encode_rejects_exponents_outside_the_field(self):
+        assert R3.decode(R3.encode((65535, 0, 3))) == (65535, 0, 3)
+        for exps in ((65536, 0, 0), (0, -1, 0)):
+            with pytest.raises(OverflowError):
+                R3.encode(exps)
+
     def test_diff(self):
         p = X ** 2 * Y + Z
         assert p.diff("x") == 2 * X * Y

@@ -66,6 +66,10 @@ class TestErrors:
         with pytest.raises(ExpressionError):
             parse_expr("x^65536", RING)
 
+    def test_product_exponent_beyond_packed_range(self):
+        with pytest.raises(OverflowError):
+            parse_expr("x^40000*x^40000", RING)
+
     def test_power_coefficient_size_bounded(self):
         # the literal cap bounds each exponent, not their product
         assert parse_expr("2^65535", RING).num.const_value() == 2 ** 65535

@@ -6,17 +6,22 @@ import random
 import pytest
 import sympy as sp
 
+import rank2dist.symplectic as symplectic
+from rank2dist.distribution import Distribution, square_words
+from rank2dist.errors import PreconditionError
 from rank2dist.geometry import Chart, lie_bracket
-from rank2dist.kernel import Q, QEchelon
+from rank2dist.kernel import PoleError, Q, QEchelon, _word_primes
 from rank2dist.models import cartan_jet, flat_from_symbol, \
     free_nilpotent_symbol, monge_model
-from rank2dist.symplectic import (CotangentChart, annihilator_basis,
-                                  char_field, class_at_point, class_at_sample,
+from rank2dist.symplectic import (CotangentChart, CovectorSample,
+                                  annihilator_basis, char_field,
+                                  class_at_point, class_at_sample,
                                   cone_J_generators, fiber_sample,
                                   hamiltonians, pointwise_full_flag,
                                   projected_sample, square_fields)
 
-from oracles import class_trace_oracle, monge_frame, poisson_oracle, sym_vars
+from oracles import (class_trace_oracle, monge_frame, poisson_oracle,
+                     sym_vars, symbolic_class_tower)
 
 
 def origin(dist):
@@ -186,19 +191,15 @@ class TestClass:
         assert nu_a == nu_b
 
     def test_samples_share_the_symbolic_work(self, bracket_calls):
-        # the lift and the [X_C, g] tower are built once per distribution;
-        # later samples bracket only the tower chains the earlier ones did
-        # not reach, and a repeat brackets nothing
+        # the tower comes from flow series, so the only brackets are the
+        # square words of the frame, and a repeat brackets nothing
         q = [Q(0)] * 7
-        class_at_point(monge_model(7), q, samples=1)
-        one = bracket_calls[0]
         dist = monge_model(7)
+        class_at_point(dist, q, samples=5)
+        assert bracket_calls[0] == sum(not isinstance(w, int)
+                                       for w in square_words(dist))
         bracket_calls[0] = 0
         class_at_point(dist, q, samples=5)
-        five = bracket_calls[0]
-        bracket_calls[0] = 0
-        class_at_point(dist, q, samples=5)
-        assert five < 2 * one
         assert bracket_calls[0] == 0
 
     def test_increment_at_most_one(self):
@@ -206,6 +207,144 @@ class TestClass:
         s = fiber_sample(dist, origin(dist), seed=4)
         _, dims = class_at_sample(dist, s)
         assert all(b - a in (0, 1) for a, b in zip(dims, dims[1:]))
+
+
+def monge_frame_from(n, f):
+    """Frame of z' = f(x, y0, ..., y_{n-3}) on the Monge chart."""
+    m = n - 3
+    chart = Chart(["x"] + ["y%d" % i for i in range(m + 1)] + ["z"])
+    x1 = chart.field(*(["1"] + ["y%d" % (i + 1) for i in range(m)] +
+                       ["0", f]))
+    x2 = chart.field(*(["0"] * (m + 1) + ["1", "0"]))
+    return Distribution(chart, [x1, x2])
+
+
+def random_monge(n, seed):
+    """Seeded z' = ym^2 + c1 ym u + c2 v + c3 w with u, v, w monomials of
+    degrees 1, 3, 2 in x, y0, ..., y(m-1), at a random rational point."""
+    rng = random.Random(seed)
+    m = n - 3
+    lower = ["x"] + ["y%d" % i for i in range(m)]
+
+    def c():
+        return "(%d/%d)" % (rng.choice([-2, -1, 1, 2]), rng.randint(1, 3))
+
+    def mono(d):
+        return "*".join(rng.choice(lower) for _ in range(d))
+
+    f = "y%d^2 + %s*y%d*%s + %s*%s + %s*%s" % (
+        m, c(), m, mono(1), c(), mono(3), c(), mono(2))
+    return (monge_frame_from(n, f),
+            [Q(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)])
+
+
+def _series_cases():
+    cases = [("flat%d" % n, monge_model(n), [Q(0)] * n) for n in (5, 6, 7, 8)]
+    cases += [("random%d" % n,) + random_monge(n, n) for n in (5, 6, 7, 8)]
+    cases.append(("free4", flat_from_symbol(free_nilpotent_symbol(4)),
+                  [Q(0)] * 8))
+    # rational frames, denominators nonzero at the base point
+    cases.append(("rational5", monge_frame_from(5, "y2^2/(1 + y0)"),
+                  [Q(1, 2)] + [Q(1)] * 4))
+    cases.append(("rational6", monge_frame_from(6, "y3^2/(1 + x)"),
+                  [Q(1, 2)] + [Q(1)] * 5))
+    return cases
+
+
+def _span_rank(vectors, ncols):
+    ech = QEchelon(ncols)
+    for v in vectors:
+        ech.add(v)
+    return ech.rank
+
+
+class TestSeriesTower:
+    @pytest.mark.parametrize("name,dist,q", _series_cases(),
+                             ids=[c[0] for c in _series_cases()])
+    def test_levels_span_the_symbolic_tower(self, name, dist, q):
+        s = fiber_sample(dist, q, seed=3)
+        nu, dims, levels = symplectic._class_iteration(dist, s)
+        onu, odims, olevels = symbolic_class_tower(dist, s)
+        assert (nu, dims) == (onu, odims)
+        assert class_at_sample(dist, s) == (nu, dims)
+        ncols = 2 * dist.chart.dim
+        for a, b in zip(levels, olevels):
+            assert _span_rank(a, ncols) == _span_rank(b, ncols) == \
+                _span_rank(a + b, ncols)
+
+
+@pytest.fixture
+def iteration_primes(monkeypatch):
+    """The prime (None over Q) of every `_class_iteration` run."""
+    real = symplectic._class_iteration
+    primes = []
+
+    def recording(dist, sample, depth_cap=None, p=None):
+        primes.append(p)
+        return real(dist, sample, depth_cap, p)
+
+    monkeypatch.setattr(symplectic, "_class_iteration", recording)
+    return primes
+
+
+class TestCertifiedPaths:
+    def test_maximal_sample_is_decided_modulo_p(self, iteration_primes):
+        dist = monge_model(7)
+        s = fiber_sample(dist, origin(dist), seed=1)
+        assert class_at_sample(dist, s)[0] == 4
+        assert iteration_primes == [next(_word_primes())]
+
+    def test_non_maximal_sample_takes_the_exact_path(self,
+                                                     iteration_primes):
+        # the covector of `trace --model monge --n 7 --seed 509461`
+        dist = monge_model(7)
+        s = fiber_sample(dist, origin(dist), seed=509461)
+        nu, dims = class_at_sample(dist, s)
+        assert (nu, dims) == symbolic_class_tower(dist, s)[:2]
+        assert nu == 2
+        assert iteration_primes == [next(_word_primes()), None]
+
+    def test_prime_dividing_a_denominator_is_skipped(self,
+                                                     iteration_primes):
+        dist = monge_model(6)
+        s = fiber_sample(dist, origin(dist), seed=1)
+        primes = _word_primes()
+        p0, p1 = next(primes), next(primes)
+        t = s.scaled(Q(1, p0))
+        assert any(v.denominator == p0 for v in t.momentum)
+        assert class_at_sample(dist, t) == class_at_sample(dist, s)
+        assert iteration_primes == [p1, next(_word_primes())]
+
+    def test_pole_comes_from_the_exact_path(self, iteration_primes):
+        dist = monge_frame_from(5, "y2^2/(1 + x)")
+        s = fiber_sample(dist, [Q(1, 2)] + [Q(1)] * 4, seed=3)
+        # the same momentum over a base point on the pole x = -1
+        at_pole = CovectorSample([Q(-1)] + s.base_point[1:], s.momentum,
+                                 s.h_values)
+        with pytest.raises(PoleError, match="denominator vanishes"):
+            class_at_sample(dist, at_pole)
+        assert iteration_primes[-1] is None
+
+    def test_generator_pole_comes_from_the_exact_path(self,
+                                                      iteration_primes):
+        # X1 = (1 + y1) d/dx + ...: the vertical corrections of the lifted
+        # generators divide by 1 + y1, which vanishes at the base point
+        chart = Chart(["x", "y0", "y1", "y2", "z"])
+        dist = Distribution(chart, [
+            chart.field("1 + y1", "y1", "y2", "0", "y2^2"),
+            chart.field("0", "0", "0", "1", "0")])
+        s = fiber_sample(dist, [Q(0), Q(0), Q(-1), Q(1), Q(0)], seed=3)
+        with pytest.raises(PoleError, match="denominator vanishes"):
+            class_at_sample(dist, s)
+        assert iteration_primes[-1] is None
+
+    def test_vanishing_char_field_comes_from_the_exact_path(
+            self, iteration_primes):
+        dist = monge_model(6)
+        zero = CovectorSample(origin(dist), origin(dist), [Q(0)] * 5)
+        with pytest.raises(PreconditionError, match="vanishes"):
+            class_at_sample(dist, zero)
+        assert iteration_primes[-1] is None
 
 
 class TestConeGenerators:
@@ -275,7 +414,6 @@ class TestFullFlag:
 
     def test_cartan_jet_class_zero(self):
         # jet chart: cube is 4-dimensional, so no valid fiber sample
-        from rank2dist.errors import PreconditionError
         dist = cartan_jet(4)
         with pytest.raises(PreconditionError):
             fiber_sample(dist, origin(dist))
