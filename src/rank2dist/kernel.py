@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 from functools import reduce
-from math import isqrt, lcm
+from math import gcd as igcd, isqrt, lcm
 from operator import or_
 
 try:
@@ -443,7 +443,6 @@ def _int_primitive(f):
     leading coefficient.  Returns the primitive part (content discarded)."""
     if f.is_zero():
         return f
-    from math import gcd as igcd
     den_lcm = 1
     for c in f.terms.values():
         d = int(c.denominator)
@@ -535,12 +534,135 @@ def _lead_wrt(f, i):
     return fu[max(fu)]
 
 
+# the largest integer (in bits) the heuristic gcd builds by evaluation
+# before it leaves the problem to the pseudo-remainder sequence
+_HEU_MAX_BITS = 1 << 22
+
+
+def _heu_gcd(f, g, shifts, top):
+    """gcd of the nonzero integer polynomials f and g ({packed monomial:
+    int}) in the variables at the bit offsets `shifts`, or None.
+
+    Heuristic gcd (Char, Geddes and Gonnet): evaluate the last variable at
+    an integer xi, take the gcd of the images recursively, and read a
+    candidate back from the xi-adic digits of its coefficients.  With
+    xi > 2 min(|f|, |g|) + 2 the primitive candidate is the gcd as soon as
+    it divides f and g, which is checked exactly.  Needs every exponent
+    below 2^15 (`top` holds the top bit of each packed field)."""
+    cf = reduce(igcd, f.values())
+    cg = reduce(igcd, g.values())
+    c = igcd(cf, cg)
+    if not shifts:
+        return {0: c}
+    f = {k: v // cf for k, v in f.items()}
+    g = {k: v // cg for k, v in g.items()}
+    s = shifts[-1]
+    df = max((k >> s) & _MASK for k in f)
+    dg = max((k >> s) & _MASK for k in g)
+    if not df and not dg:
+        h = _heu_gcd(f, g, shifts[:-1], top)
+        return None if h is None else {k: v * c for k, v in h.items()}
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
+    for _ in range(6):
+        if xi.bit_length() * (max(df, dg) + 1) > _HEU_MAX_BITS:
+            return None
+        ff = _eval_var(f, s, xi)
+        gg = _eval_var(g, s, xi)
+        if ff and gg:
+            h = _heu_gcd(ff, gg, shifts[:-1], top)
+            if h is None:
+                return None
+            h = _interp_var(h, s, xi, min(df, dg))
+            if h is not None:
+                ch = reduce(igcd, h.values())
+                if h[max(h)] < 0:
+                    ch = -ch
+                h = {k: v // ch for k, v in h.items()}
+                if (_divides(h, f, shifts, top)
+                        and _divides(h, g, shifts, top)):
+                    return {k: v * c for k, v in h.items()}
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+def _eval_var(f, s, xi):
+    """The integer polynomial f with the variable at offset s set to xi."""
+    out = {}
+    for k, v in f.items():
+        e = (k >> s) & _MASK
+        k -= e << s
+        nv = out.get(k, 0) + v * xi ** e
+        if nv:
+            out[k] = nv
+        else:
+            out.pop(k, None)
+    return out
+
+
+def _interp_var(h, s, xi, deg):
+    """The polynomial whose coefficients of the variable at offset s are
+    the balanced xi-adic digits of h's coefficients, or None if it would
+    have degree above deg in that variable."""
+    half = xi // 2
+    out = {}
+    for k, v in h.items():
+        e = 0
+        while v:
+            d = v % xi
+            if d > half:
+                d -= xi
+            if d:
+                if e > deg:
+                    return None
+                out[k + (e << s)] = d
+            v = (v - d) // xi
+            e += 1
+    return out
+
+
+def _divides(g, f, shifts, top):
+    """True if the integer polynomial g divides f over the integers.
+
+    Packed keys order monomials lexicographically, so the leading term is
+    the largest key.  `top` marks each field's top bit, which the caller
+    keeps clear, so one subtraction compares two monomials field by field.
+    A quotient term must fit the degrees of f less those of g, which
+    keeps every intermediate exponent within the degrees of f."""
+    room = top
+    for s in shifts:
+        d = (max((k >> s) & _MASK for k in f)
+             - max((k >> s) & _MASK for k in g))
+        if d < 0:
+            return False
+        room += d << s
+    gl = max(g)
+    glc = g[gl]
+    rem = dict(f)
+    while rem:
+        fl = max(rem)
+        qk = fl - gl
+        if ((fl | top) - gl) & top != top or (room - qk) & top != top:
+            return False
+        q, r = divmod(rem[fl], glc)
+        if r:
+            return False
+        for k, c in g.items():
+            k += qk
+            nc = rem.get(k, 0) - c * q
+            if nc:
+                rem[k] = nc
+            else:
+                rem.pop(k, None)
+    return True
+
+
 def poly_gcd(f, g):
     """gcd of two polynomials, primitive with positive leading coefficient.
 
-    Primitive pseudo-remainder sequences, recursing on the number of
-    variables.  Rational contents are dropped: the result is defined up to
-    a unit and normalized to an integer-primitive polynomial.
+    The heuristic gcd first; where it gives up, primitive pseudo-remainder
+    sequences, recursing on the number of variables.  Rational contents
+    are dropped: the result is defined up to a unit and normalized to an
+    integer-primitive polynomial.
     """
     if f.is_zero():
         return _int_primitive(g) if not g.is_zero() else g
@@ -550,6 +672,15 @@ def poly_gcd(f, g):
         return f.ring.one()
     f = _int_primitive(f)
     g = _int_primitive(g)
+    ring = f.ring
+    used = reduce(or_, f.terms) | reduce(or_, g.terms)
+    if not used & ring.top:
+        shifts = [s for s in ring.shifts if (used >> s) & _MASK]
+        h = _heu_gcd({k: int(c) for k, c in f.terms.items()},
+                     {k: int(c) for k, c in g.terms.items()},
+                     shifts, ring.top)
+        if h is not None:
+            return _int_primitive(Poly(ring, {k: Q(v) for k, v in h.items()}))
     # main variable: highest-index variable occurring in either
     main = -1
     for i in range(f.ring.n - 1, -1, -1):

@@ -167,6 +167,48 @@ class TestGcd:
         if not c.is_const():
             assert poly_gcd(c, d).total_degree() == c.total_degree()
 
+    @given(polys(max_terms=3, max_exp=2), polys(max_terms=3, max_exp=2),
+           polys(max_terms=3, max_exp=2))
+    @settings(max_examples=30, deadline=None)
+    def test_gcd_matches_sympy(self, a, b, c):
+        f, g = a * c * c, b * c
+        if f.is_zero() or g.is_zero():
+            return
+        want = sp.Poly(sp.gcd(to_sympy(f, SYMS), to_sympy(g, SYMS)), *SYMS)
+        want = Poly(R3, {R3.encode(m): Q(int(v.p), int(v.q))
+                         for m, v in want.terms()})
+        assert poly_gcd(f, g) == kernel._int_primitive(want)
+
+    # small operands: the pseudo-remainder sequence alone is slow on more
+    @given(polys(max_terms=2, max_exp=2), polys(max_terms=2, max_exp=2),
+           polys(max_terms=2, max_exp=2))
+    @settings(max_examples=30, deadline=None)
+    def test_heuristic_matches_prs(self, a, b, c):
+        f, g = a * c, b * c
+        heuristic = poly_gcd(f, g)
+        real = kernel._heu_gcd
+        kernel._heu_gcd = lambda *args: None
+        try:
+            assert poly_gcd(f, g) == heuristic
+        finally:
+            kernel._heu_gcd = real
+
+    def test_large_exponents_take_the_prs(self, monkeypatch):
+        def heuristic(*args):
+            raise AssertionError("heuristic gcd with an exponent >= 2^15")
+        monkeypatch.setattr(kernel, "_heu_gcd", heuristic)
+        assert poly_gcd(X ** 33000 * (X + Y), (X + Y) * Y * Z) == X + Y
+
+    def test_dense_common_factor(self):
+        # the sum of f' g and f g' below had the pseudo-remainder sequence
+        # run for minutes on its denominators
+        f = RatFunc(Q(1, 2) * X * Y ** 2 * Z ** 2 - Q(23, 60) * Z,
+                    X * Y ** 2 * Z ** 2 - Q(49, 60) * X * Y ** 2 + Q(7, 8) * Z)
+        g = RatFunc(Q(-33, 8) * X * Y * Z ** 2 - Q(423, 32) * X * Y ** 2
+                    - Q(81, 16) * X * Z,
+                    X ** 2 * Y * Z - Q(27, 4) * Y * Z - Q(21, 8) * X)
+        assert (f * g).diff("x") == f.diff("x") * g + f * g.diff("x")
+
 
 # -- RatFunc ----------------------------------------------------------------
 
@@ -209,7 +251,6 @@ class TestRatFunc:
             assert (f / g) * g == f
 
     # derivation check squares the product denominator; keep degrees small
-    @pytest.mark.slow
     @given(ratfuncs(max_terms=3, max_exp=2), ratfuncs(max_terms=3, max_exp=2))
     @settings(max_examples=30, deadline=None)
     def test_diff_is_derivation(self, f, g):
