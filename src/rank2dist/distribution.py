@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import (DegenerateFrame, InvariantViolation, NonEquiregular,
                      NotBracketGenerating, SamplingFailure)
-from .kernel import PoleError, Q, QEchelon, as_q, q_solve
+from .kernel import PoleError, Q, QEchelon, as_q, q_coordinates
 from .geometry import lie_bracket
 
 # Default sampling box: integer offsets in [-3, 3] scaled by 1/2.
@@ -233,13 +233,12 @@ def cube_dim(dist, q):
     return d
 
 
-def is_goursat(dist, q, samples=3, seed=0):
+def is_goursat(dist, q, seed=0):
     """True iff the strong flag grows by exactly one per level, i.e. dims
-    are (2, 3, ..., n), at q and at `samples` random nearby points."""
+    are (2, 3, ..., n), at q and at three random nearby points."""
     n = dist.chart.dim
     expected = tuple(range(2, n + 1))
-    points = [list(q)] + list(nearby_points(dist, q, samples,
-                                            10 * samples + 10, seed))
+    points = [list(q)] + list(nearby_points(dist, q, 3, 40, seed))
     for p in points:
         rep = strong_flag(dist, p, max_depth=n)
         if rep.growth_vector != expected:
@@ -407,8 +406,8 @@ def _symbol_from_basis(levels, value):
     """
     chosen = [(w, lvl) for lvl, words in enumerate(levels, start=1)
               for w in words]
-    # express vectors in the adapted basis: solve V^T c = vec
-    cols = list(zip(*(value(w) for w, _ in chosen)))
+    vectors = [value(w) for w, _ in chosen]
+    coordinates = q_coordinates(vectors, len(vectors[0]))
     mu = len(levels)
     N = len(chosen)
     structure = [[[Q(0)] * N for _ in range(N)] for _ in range(N)]
@@ -419,7 +418,7 @@ def _symbol_from_basis(levels, value):
             target = la + lb
             if target > mu:
                 continue
-            coords = q_solve(cols, value((wa, wb)), N)
+            coords = coordinates(value((wa, wb)))
             if coords is None:
                 raise ValueError("vector not in basis span")
             for k in range(N):
@@ -432,7 +431,7 @@ def _symbol_from_basis(levels, value):
     return sym
 
 
-def tanaka_symbol(dist, q, samples=3, seed=0, max_depth=None):
+def tanaka_symbol(dist, q, samples=3, seed=0):
     """Tanaka symbol of the distribution at an equiregular point.
 
     The adapted basis is the one `weak_flag` keeps at q (deterministic
@@ -442,7 +441,7 @@ def tanaka_symbol(dist, q, samples=3, seed=0, max_depth=None):
     n = dist.chart.dim
     if samples and not equiregular_check(dist, q, samples=samples, seed=seed):
         raise NonEquiregular("growth vector varies near the query point")
-    rep = weak_flag(dist, q, max_depth=max_depth or n)
+    rep = weak_flag(dist, q)
     if rep.dims[-1] != n:
         raise NotBracketGenerating(
             "bracket words span only %d of %d dimensions" % (rep.dims[-1], n))

@@ -19,6 +19,9 @@ from .kernel import as_q
 from .symplectic import (char_field, class_at_sample, hamiltonians,
                          projected_sample)
 
+# integrate_char halts once |h4| + |h5| falls to this floor
+_H45_FLOOR = 1e-9
+
 
 def compile_scalar(rf):
     """Compile a rational function into a float-valued callable on states."""
@@ -76,8 +79,7 @@ class Trajectory:
     halt_reason: str = ""
 
 
-def integrate_char(dist, sample, T, steps, residual_tol=1e-6,
-                   h45_floor=1e-9):
+def integrate_char(dist, sample, T, steps, residual_tol=1e-6):
     """Fixed-step RK4 flow of the characteristic field from a covector
     sample.  Residuals of the defining functions h1, h2, h3 are monitored
     without projection; the run halts early if they exceed residual_tol or
@@ -86,7 +88,7 @@ def integrate_char(dist, sample, T, steps, residual_tol=1e-6,
     The characteristic direction is only a line field; trajectories are
     meaningful as unparametrized curves.
     """
-    ct, xc = char_field(dist)
+    _, xc = char_field(dist)
     rhs = compile_field(xc)
     _, hs = hamiltonians(dist)
     h_funcs = [compile_scalar(h) for h in hs]
@@ -96,7 +98,7 @@ def integrate_char(dist, sample, T, steps, residual_tol=1e-6,
                                 "initial covector")
     s = state.tolist()
     floor0 = abs(h_funcs[3](s)) + abs(h_funcs[4](s))
-    if floor0 <= h45_floor:
+    if floor0 <= _H45_FLOOR:
         raise PreconditionError("initial covector too close to the "
                                 "annihilator of D^3")
     times = [0.0]
@@ -124,7 +126,7 @@ def integrate_char(dist, sample, T, steps, residual_tol=1e-6,
             traj.halted = True
             traj.halt_reason = "h-residual %.3e exceeded tolerance" % r
             break
-        if f45 <= h45_floor:
+        if f45 <= _H45_FLOOR:
             traj.halted = True
             traj.halt_reason = "reached the annihilator of D^3"
             break
@@ -142,19 +144,18 @@ class CorankReport:
     note: str = ""
 
 
-def nu_along(dist, traj, sample, stride=None):
+def nu_along(dist, traj, sample):
     """Exact class trace along a trajectory.
 
     Index 0 is the class at the starting sample.  Every later recorded
-    state (at the given stride, plus the last) becomes a rational covector:
+    state (about every tenth, plus the last) becomes a rational covector:
     the exact binary value of each float coordinate, with the momentum
     projected orthogonally onto the annihilator of D^2 at that base point
     (`projected_sample`).  nu_trace[k] is the exact class there, not at the
     float point itself.
     """
     n = dist.chart.dim
-    if stride is None:
-        stride = max(1, (len(traj.states) - 1) // 10)
+    stride = max(1, (len(traj.states) - 1) // 10)
     idxs = list(range(0, len(traj.states), stride))
     if idxs[-1] != len(traj.states) - 1:
         idxs.append(len(traj.states) - 1)
@@ -179,11 +180,11 @@ def corank_report(n, nu_trace):
                         corank_bound=bound, corank_claim=claim, note=note)
 
 
-def endpoint_errors(dist, sample, T, steps_list, ref_mult=8):
+def endpoint_errors(dist, sample, T, steps_list):
     """Endpoint integration error per step count, against a reference run
-    with ref_mult times the finest step count.  Exhibits the scheme's
+    with 8 times the finest step count.  Exhibits the scheme's
     4th-order convergence (16x drop per step halving)."""
-    ref = integrate_char(dist, sample, T, max(steps_list) * ref_mult,
+    ref = integrate_char(dist, sample, T, max(steps_list) * 8,
                          residual_tol=float("inf"))
     ref_end = np.array(ref.states[-1])
     out = []

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .kernel import Q, q_solve
+from .kernel import Q, q_coordinates
 
 _ZERO = Q(0)
 
@@ -86,15 +86,15 @@ def ta_log(a, maxlen):
 
 # -- Lyndon words and bracketing --------------------------------------------
 
-def _duval(maxlen, alphabet=2):
-    """Duval's algorithm, classic form."""
+def _duval(maxlen):
+    """Duval's algorithm, classic form, over the alphabet {0, 1}."""
     out = []
     w = [0]
     while w:
         out.append(tuple(w))
         while len(w) < maxlen:
             w.append(w[len(w) % len(out[-1])])
-        while w and w[-1] == alphabet - 1:
+        while w and w[-1] == 1:
             w.pop()
         if w:
             w[-1] += 1
@@ -152,14 +152,16 @@ class FreeLieTruncated:
                      for d in range(1, mu + 1)]
 
     def decompose(self, elt, degree):
-        """Coordinates of a homogeneous-degree Lie element in the Lyndon
+        """Coordinates of the degree part of a Lie element in the Lyndon
         basis of that degree."""
         idxs = [i for i, w in enumerate(self.basis) if len(w) == degree]
-        words = sorted({w for i in idxs for w in self.expansions[i]} |
-                       {w for w in elt if len(w) == degree})
-        rows = [[self.expansions[i].get(w, _ZERO) for i in idxs] for w in words]
-        rhs = [elt.get(w, _ZERO) for w in words]
-        sol = q_solve(rows, rhs, len(idxs))
+        words = sorted({w for i in idxs for w in self.expansions[i]})
+        part = {w: c for w, c in elt.items() if len(w) == degree and c}
+        coordinates = q_coordinates([[self.expansions[i].get(w, _ZERO)
+                                      for w in words] for i in idxs],
+                                    len(words))
+        sol = (None if part.keys() - set(words) else
+               coordinates([part.get(w, _ZERO) for w in words]))
         if sol is None:
             raise ValueError("element is not a Lie element of degree %d"
                              % degree)

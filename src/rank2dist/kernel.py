@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 from functools import reduce
-from math import gcd as igcd, isqrt, lcm
+from math import comb, gcd as igcd, isqrt, lcm, prod
 from operator import or_
 
 try:
@@ -24,7 +24,8 @@ _BITS = 16
 _MASK = (1 << _BITS) - 1
 # the largest exponent of one variable that a packed monomial holds
 MAX_EXPONENT = _MASK
-# the largest numerator or denominator bit length a power may build
+# the largest size a power may build: a bound on its terms times a bound on
+# the numerator and denominator bit length of each coefficient
 MAX_POWER_BITS = 1 << 20
 
 _ZERO = Q(0)
@@ -244,16 +245,8 @@ class Poly:
     def __pow__(self, e):
         if e < 0:
             raise ValueError("negative exponent on Poly")
-        if e > 1 and e * max(map(self.degree_in, range(self.ring.n)),
-                             default=0) > MAX_EXPONENT:
-            raise OverflowError("exponent of a variable exceeds %d"
-                                % MAX_EXPONENT)
-        if e > 1 and e * max((max(c.numerator.bit_length(),
-                                  c.denominator.bit_length())
-                              for c in self.terms.values()),
-                             default=0) > MAX_POWER_BITS:
-            raise OverflowError("coefficients of a power exceed %d bits"
-                                % MAX_POWER_BITS)
+        if e > 1 and self.terms:
+            _check_power_size(self, e)
         result = self.ring.one()
         base = self
         while e:
@@ -377,6 +370,27 @@ class Poly:
                 parts.append(str(c) + "*" + "*".join(factors))
         s = " + ".join(parts)
         return s.replace("+ -", "- ")
+
+
+def _check_power_size(f, e):
+    """OverflowError unless every exponent of f^e fits its packed field and
+    its size is at most MAX_POWER_BITS.  With f = F/D, F integral, each
+    coefficient of f^e has a numerator at most |F|_1^e and a denominator
+    dividing D^e; its terms are at most the products of e terms of f and
+    at most the monomials within e times each degree of f."""
+    degs = [f.degree_in(i) for i in range(f.ring.n)]
+    if e * max(degs) > MAX_EXPONENT:
+        raise OverflowError("exponent of a variable exceeds %d"
+                            % MAX_EXPONENT)
+    coeffs = f.terms.values()
+    den = reduce(lcm, (int(c.denominator) for c in coeffs), 1)
+    norm = sum(abs(int(c.numerator)) * (den // int(c.denominator))
+               for c in coeffs)
+    bits = e * max((norm - 1).bit_length(), den.bit_length())
+    terms = min(prod(e * d + 1 for d in degs), comb(e + len(coeffs) - 1, e))
+    if terms * bits > MAX_POWER_BITS:
+        raise OverflowError("a power of %d terms to the %d exceeds %d bits"
+                            % (len(coeffs), e, MAX_POWER_BITS))
 
 
 def _check_product_exponents(ring, a, b):
@@ -896,7 +910,10 @@ def _normalize(num, den):
 # ---------------------------------------------------------------------------
 
 class QEchelon:
-    """Incremental row echelon over Q, for ranks and independent subsets."""
+    """Incremental reduced row echelon form over Q, the one dense
+    elimination over Q.  Each pivot row is 1 at its pivot column, its
+    first nonzero column, and 0 at every other pivot column, so the pivot
+    rows are the unique reduced row echelon form of the rows added."""
 
     def __init__(self, ncols):
         self.ncols = ncols
@@ -911,8 +928,7 @@ class QEchelon:
         for col, prow in self.pivots.items():
             c = row[col]
             if c:
-                for j in range(self.ncols):
-                    row[j] -= c * prow[j]
+                row = [a - c * b for a, b in zip(row, prow)]
         return row
 
     def add(self, row):
@@ -935,69 +951,59 @@ class QEchelon:
         return not any(self.reduce([as_q(x) for x in row]))
 
 
-def q_rref(rows, ncols):
-    """Reduced row echelon form; returns (rows, pivot_cols)."""
-    mat = [[as_q(x) for x in r] for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = _ONE / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+def _rref_nullspace(pivots, ncols, zero, one):
+    """Nullspace basis of a reduced row echelon form {pivot col: row}: one
+    vector per free column, in increasing order, with identity on the free
+    columns."""
+    basis = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            v = [zero] * ncols
+            v[fc] = one
+            for pc, row in pivots.items():
+                v[pc] = -row[fc]
+            basis.append(v)
+    return basis
 
 
 def q_nullspace(rows, ncols):
     """Basis of the right nullspace over Q.  Returns (rank, basis)."""
-    rref, pivots = q_rref(rows, ncols) if rows else ([], [])
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for fc in free:
-        v = [_ZERO] * ncols
-        v[fc] = _ONE
-        for ri, pc in enumerate(pivots):
-            v[pc] = -rref[ri][fc]
-        basis.append(v)
-    return len(pivots), basis
+    ech = QEchelon(ncols)
+    for r in rows:
+        ech.add(r)
+    return ech.rank, _rref_nullspace(ech.pivots, ncols, _ZERO, _ONE)
 
 
-def q_solve(rows, rhs, ncols):
-    """One exact solution of A x = b, or None if inconsistent."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    rref, pivots = q_rref(aug, ncols + 1)
-    if ncols in pivots:
-        return None
-    x = [_ZERO] * ncols
-    for ri, pc in enumerate(pivots):
-        x[pc] = rref[ri][ncols]
-    return x
+def q_coordinates(vectors, ncols):
+    """Coordinates in independent vectors over Q of length ncols.
+
+    Returns a function that maps v to the list c with v = sum c_i
+    vectors[i], or to None when v lies outside their span; ValueError if
+    the vectors are dependent.  The vectors are reduced once, each tagged
+    with its own identity column, so one reduction of (v, 0) leaves
+    (v - sum c_i vectors[i], -c)."""
+    k = len(vectors)
+    ech = QEchelon(ncols + k)
+    for i, v in enumerate(vectors):
+        ech.add(list(v) + [_ONE if j == i else _ZERO for j in range(k)])
+    if any(col >= ncols for col in ech.pivots):
+        raise ValueError("linearly dependent vectors")
+
+    def coordinates(v):
+        r = ech.reduce([as_q(x) for x in v] + [_ZERO] * k)
+        if any(r[:ncols]):
+            return None
+        return [-x for x in r[ncols:]]
+    return coordinates
 
 
 def q_inverse(m):
-    """Inverse of a square matrix over Q; ValueError if it is singular."""
+    """Inverse of a square matrix over Q; ValueError if it is singular.
+    Row j holds the coordinates of the j-th unit vector in the rows of m."""
     n = len(m)
-    rref, pivots = q_rref([list(r) + [_ONE if i == j else _ZERO
-                                      for j in range(n)]
-                           for i, r in enumerate(m)], 2 * n)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("singular matrix")
-    return [r[n:] for r in rref]
+    coordinates = q_coordinates(m, n)
+    return [coordinates([_ONE if i == j else _ZERO for i in range(n)])
+            for j in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -1271,21 +1277,12 @@ def rf_nullspace(rows, ncols):
     Basis vectors have denominators cleared: entries are polynomial-valued
     RatFuncs scaled by the lcm of the raw denominators.
     """
-    if not rows:
-        ring = None
-    rref, pivots = rf_rref(rows, ncols) if rows else ([], [])
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    if rows:
-        ring = rows[0][0].ring
-    basis = []
-    for fc in free:
-        v = [RatFunc.from_const(ring, 0) for _ in range(ncols)]
-        v[fc] = RatFunc.from_const(ring, 1)
-        for ri, pc in enumerate(pivots):
-            v[pc] = -rref[ri][fc]
-        basis.append(clear_denominators(v))
-    return len(pivots), basis
+    ring = rows[0][0].ring
+    rref, pivots = rf_rref(rows, ncols)
+    basis = _rref_nullspace(dict(zip(pivots, rref)), ncols,
+                            RatFunc.from_const(ring, 0),
+                            RatFunc.from_const(ring, 1))
+    return len(pivots), [clear_denominators(v) for v in basis]
 
 
 def clear_denominators(vec):

@@ -134,8 +134,8 @@ class DeprolongResult:
     note: str = ""
 
 
-def _check_cube4_near(dist, q, samples=2, seed=0):
-    for p in [list(q)] + list(nearby_points(dist, q, samples, 20, seed)):
+def _check_cube4_near(dist, q):
+    for p in [list(q)] + list(nearby_points(dist, q, 2, 20, 0)):
         try:
             c = cube_dim(dist, p)
         except PoleError:
@@ -154,7 +154,7 @@ def cauchy_characteristic(dist):
     # columns: X4, X5, X1, X2, X3 -- nullspace vectors give (a, b, *)
     cols = [x4, x5, x1, x2, x3]
     rows = [[f.components[i] for f in cols] for i in range(n)]
-    rank, basis = rf_nullspace(rows, 5)
+    _, basis = rf_nullspace(rows, 5)
     for vec in basis:
         a, b = vec[0], vec[1]
         if not (a.is_zero() and b.is_zero()):
@@ -164,16 +164,14 @@ def cauchy_characteristic(dist):
                             "(cube is not 4-dimensional?)")
 
 
-def deprolong(dist, q, seed=0):
+def deprolong(dist, q):
     """One deprolongation step at q.  Requires dim D^3 = 4 near q.
 
     Tier 1: if the characteristic field rectifies by an exact linear
     change (constant Z), returns the quotient distribution on n-1
     coordinates.  Tier 2: returns invariants of the deprolonged germ only.
     """
-    chart = dist.chart
-    n = chart.dim
-    _check_cube4_near(dist, q, seed=seed)
+    _check_cube4_near(dist, q)
     z = cauchy_characteristic(dist)
     zval = z.at(q)
     if not any(zval):
@@ -243,7 +241,7 @@ def _deprolong_invariants(dist, q):
                                 "derived flag of D^2")
 
 
-def deprolongation_degree(dist, q, cap=None, seed=0):
+def deprolongation_degree(dist, q, cap=None):
     """Iterate deprolongation (via invariants of iterated squares) until
     the cube is 5-dimensional or the Engel model appears.
 

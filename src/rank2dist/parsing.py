@@ -82,7 +82,7 @@ class _Parser:
                 return value
             self.advance()
             if op == "^":
-                value = self.power(value, pos)
+                value = self.power(value)
                 continue
             rhs = self.expression(prec + 1 if assoc == "L" else prec)
             if op == "+":
@@ -96,7 +96,7 @@ class _Parser:
                     raise ExpressionError("division by zero", pos)
                 value = value / rhs
 
-    def power(self, base, op_pos):
+    def power(self, base):
         kind, val, pos = self.peek()
         if kind == "num":
             self.advance()

@@ -18,12 +18,17 @@ from dataclasses import dataclass
 from math import lcm
 
 from .errors import PreconditionError
-from .kernel import (Poly, Q, QEchelon, RatFunc, add_product, q_nullspace,
-                     q_solve, q_sparse_nullspace, rf_nullspace)
+from .kernel import (MAX_EXPONENT, Poly, Q, QEchelon, RatFunc, add_product,
+                     q_coordinates, q_nullspace, q_sparse_nullspace,
+                     rf_nullspace)
 from .geometry import OneForm, VectorField, lie_bracket, pair
-from .distribution import structure_bracket
+from .distribution import per_distribution, structure_bracket
+
+# the largest degree bound stabilized_symmetry_basis tries
+MAX_SYMMETRY_DEGREE = 8
 
 
+@per_distribution
 def annihilator_forms(dist):
     """Polynomial annihilator one-forms of the frame (denominators
     cleared); n - rank of them for a rank-r frame."""
@@ -33,7 +38,7 @@ def annihilator_forms(dist):
     rank, basis = rf_nullspace(rows, n)
     if rank != dist.rank:
         raise PreconditionError("frame degenerate over the function field")
-    forms = [OneForm(chart, vec) for vec in basis]
+    forms = tuple(OneForm(chart, vec) for vec in basis)
     for f in forms:
         if any(not c.is_poly() for c in f.components):
             raise PreconditionError("annihilator basis is not polynomial "
@@ -53,6 +58,7 @@ def _poly_components(fields):
     return out
 
 
+@per_distribution
 def detect_weights(dist):
     """Positive integer coordinate weights making every frame field
     weighted homogeneous, or None.
@@ -77,7 +83,7 @@ def detect_weights(dist):
                 row += [Q(0)] * r
                 row[n + a] = Q(-1)
                 rows.append(row)
-    rank, basis = q_nullspace(rows, n + r)
+    _, basis = q_nullspace(rows, n + r)
     for cand in basis + [[sum(v[k] for v in basis) for k in range(n + r)]
                          if len(basis) > 1 else []]:
         if not cand:
@@ -139,7 +145,7 @@ class SymmetryBasis:
     weights: list = None
 
 
-def symmetry_basis(dist, d, forms=None, weights="auto"):
+def symmetry_basis(dist, d, weights="auto"):
     """Exact nullspace basis of the degree-d polynomial symmetry system.
 
     The returned dimension is a lower bound for the full symmetry algebra
@@ -148,8 +154,7 @@ def symmetry_basis(dist, d, forms=None, weights="auto"):
     chart = dist.chart
     ring = chart.ring
     n = chart.dim
-    if forms is None:
-        forms = annihilator_forms(dist)
+    forms = annihilator_forms(dist)
     if weights == "auto":
         weights = detect_weights(dist)
     monos = _monomials_up_to(ring, d)
@@ -163,7 +168,7 @@ def symmetry_basis(dist, d, forms=None, weights="auto"):
             exps = ring.decode(key)
             wt = sum(w * e for w, e in zip(weights, exps)) - weights[i]
             blocks.setdefault(wt, []).append((key, i))
-    system = _SymmetrySystem(ring, _poly_components(dist.frame), forms)
+    system = _SymmetrySystem(ring, _poly_components(dist.frame), forms, d)
     fields = []
     for wt in sorted(blocks):
         block = blocks[wt]
@@ -185,15 +190,27 @@ class _SymmetrySystem:
         <eta, [m d/dx_i, X_a]> = m P[a][j][i] - eta_i X_a(m),
         P[a][j][i] = sum_l eta_l d(X_a^l)/dx_i,
 
-    with the P table built once and X_a(m) once per monomial.  Each form
-    and each frame field is first scaled to integer coefficients, which
-    scales each equation by a nonzero constant; polynomials here are
-    {packed monomial: int} dicts."""
+    with the P table built once and X_a(m) once per monomial of degree at
+    most `degree`.  Each form and each frame field is first scaled to integer
+    coefficients, which scales each equation by a nonzero constant;
+    polynomials here are {packed monomial: int} dicts.
 
-    def __init__(self, ring, frame_polys, forms):
+    No product here may pass MAX_EXPONENT in any variable, since
+    `add_product` does not check: an exponent of an equation is at most
+    one of a form plus one of the frame plus `degree`, checked here."""
+
+    def __init__(self, ring, frame_polys, forms, degree):
         self.ring = ring
+        form_polys = [[c.num for c in f.components] for f in forms]
+        for i, v in enumerate(ring.names):
+            if (max((p.degree_in(i) for ps in form_polys for p in ps),
+                    default=0) +
+                    max(p.degree_in(i) for ps in frame_polys for p in ps) +
+                    degree > MAX_EXPONENT):
+                raise OverflowError("exponent of %s in the symmetry "
+                                    "equations exceeds %d" % (v, MAX_EXPONENT))
         self.frame = [_integral(xp) for xp in frame_polys]
-        self.etas = [_integral([c.num for c in f.components]) for f in forms]
+        self.etas = [_integral(ps) for ps in form_polys]
         self.table = []
         for xp in self.frame:
             dx = [[Poly(ring, x).diff(v).terms for v in ring.names]
@@ -247,40 +264,37 @@ def _dot(ps, qs):
     return acc
 
 
-def stabilized_symmetry_basis(dist, forms=None, max_degree=8, start=1):
-    """Increase the degree bound until two consecutive dims agree; returns
-    the basis at the first stable degree with stable_degree recorded."""
+def stabilized_symmetry_basis(dist):
+    """Increase the degree bound from 1 until two consecutive dims agree;
+    returns the basis at the first stable degree with stable_degree
+    recorded."""
     prev = None
-    for d in range(start, max_degree + 1):
-        cur = symmetry_basis(dist, d, forms=forms)
+    for d in range(1, MAX_SYMMETRY_DEGREE + 1):
+        cur = symmetry_basis(dist, d)
         if prev is not None and cur.dim == prev.dim:
             prev.stabilized = True
             prev.stable_degree = prev.degree
             return prev
         prev = cur
     raise PreconditionError("symmetry dimension did not stabilize by "
-                            "degree %d" % max_degree)
+                            "degree %d" % MAX_SYMMETRY_DEGREE)
 
 
-def is_symmetry(dist, y, forms=None):
+def is_symmetry(dist, y):
     """Exact check of the defining equations for one candidate field."""
-    if forms is None:
-        forms = annihilator_forms(dist)
     for x in dist.frame:
         b = lie_bracket(y, x)
-        for f in forms:
+        for f in annihilator_forms(dist):
             if not pair(f, b).is_zero():
                 return False
     return True
 
 
-def bracket_close_check(dist, basis, forms=None):
+def bracket_close_check(dist, basis):
     """True iff the bracket of every basis pair satisfies the symmetry
     equations exactly (checked against the equations, not the span)."""
-    if forms is None:
-        forms = annihilator_forms(dist)
     for y1, y2 in itertools.combinations(basis.basis, 2):
-        if not is_symmetry(dist, lie_bracket(y1, y2), forms):
+        if not is_symmetry(dist, lie_bracket(y1, y2)):
             return False
     return True
 
@@ -290,11 +304,9 @@ def vanishing_subspace_dim(basis, q):
     for the nilradical lower bound)."""
     vals = [f.at(q) for f in basis.basis]
     ech = QEchelon(len(vals[0]) if vals else 0)
-    rank = 0
     for v in vals:
-        if ech.add(v):
-            rank += 1
-    return basis.dim - rank
+        ech.add(v)
+    return basis.dim - ech.rank
 
 
 def _field_coeff_items(y):
@@ -320,28 +332,15 @@ def symmetry_structure_constants(dist, basis):
     fields = basis.basis
     N = len(fields)
     field_items = [_field_coeff_items(y) for y in fields]
-    brackets = {}
-    bracket_items = {}
-    coords = set()
-    for it in field_items:
-        coords.update(it)
-    for a in range(N):
-        for b in range(a + 1, N):
-            br = lie_bracket(fields[a], fields[b])
-            brackets[(a, b)] = br
-            it = _field_coeff_items(br)
-            bracket_items[(a, b)] = it
-            coords.update(it)
-    coords = sorted(coords)
-    pos = {c: i for i, c in enumerate(coords)}
-    rows = [[field_items[j].get(c, Q(0)) for j in range(N)] for c in coords]
-    zero = [Q(0)] * N
-    st = [[list(zero) for _ in range(N)] for _ in range(N)]
-    for (a, b), it in bracket_items.items():
-        rhs = [Q(0)] * len(coords)
-        for c, v in it.items():
-            rhs[pos[c]] = v
-        sol = q_solve(rows, rhs, N)
+    coords = sorted(set().union(*field_items))
+    support = set(coords)
+    coordinates = q_coordinates([[it.get(c, Q(0)) for c in coords]
+                                 for it in field_items], len(coords))
+    st = [[[Q(0)] * N for _ in range(N)] for _ in range(N)]
+    for a, b in itertools.combinations(range(N), 2):
+        it = _field_coeff_items(lie_bracket(fields[a], fields[b]))
+        sol = (None if it.keys() - support else
+               coordinates([it.get(c, Q(0)) for c in coords]))
         if sol is None:
             raise PreconditionError("bracket [%d,%d] leaves the basis span "
                                     "(basis not closed)" % (a, b))

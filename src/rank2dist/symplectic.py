@@ -15,10 +15,13 @@ from dataclasses import dataclass, field
 from math import lcm
 
 from .errors import InvariantViolation, PreconditionError, SamplingFailure
-from .kernel import (Q, QEchelon, RatFunc, _word_primes, as_q, q_nullspace,
-                     q_solve, rf_nullspace, rf_solve_minimal)
+from .kernel import (Q, QEchelon, RatFunc, _word_primes, as_q, q_coordinates,
+                     q_nullspace, rf_nullspace, rf_solve_minimal)
 from .geometry import BracketSeries, Chart, VectorField
 from .distribution import per_distribution, square_fields, square_words
+
+# seeded draws fiber_sample makes before it gives up
+_FIBER_DRAWS = 200
 
 CONVENTION_NOTE = ("cone convention: computed on the full cotangent bundle; "
                    "the Euler (fiber-scaling) direction adds +1 to every "
@@ -139,10 +142,11 @@ def _square_values(dist, q):
     X1, X2, X3 are independent too."""
     values = [dist.word_value(w, q) for w in square_words(dist)]
     ech = QEchelon(dist.chart.dim)
-    cube = sum(1 for v in values if ech.add(v))
-    if cube != 5:
+    for v in values:
+        ech.add(v)
+    if ech.rank != 5:
         raise PreconditionError("dim D^3 = %d at the base point (need 5)"
-                                % cube)
+                                % ech.rank)
     return values
 
 
@@ -159,7 +163,7 @@ def _sample_or_none(q, p, values):
     return CovectorSample(list(map(as_q, q)), p, [Q(0), Q(0), Q(0), h4, h5])
 
 
-def fiber_sample(dist, q, seed=0, rng=None, budget=200):
+def fiber_sample(dist, q, seed=0, rng=None):
     """Exact rational covector over q annihilating D^2 but not D^3.
 
     Draws seeded random rational combinations of an exact nullspace basis
@@ -170,7 +174,7 @@ def fiber_sample(dist, q, seed=0, rng=None, budget=200):
     _, basis = q_nullspace(values[:3], n)
     if rng is None:
         rng = random.Random(seed)
-    for _ in range(budget):
+    for _ in range(_FIBER_DRAWS):
         coeffs = [Q(rng.randint(-9, 9)) for _ in basis]
         p = [sum((c * b[i] for c, b in zip(coeffs, basis)), Q(0))
              for i in range(n)]
@@ -178,7 +182,7 @@ def fiber_sample(dist, q, seed=0, rng=None, budget=200):
         if s is not None:
             return s
     raise SamplingFailure("no covector off the annihilator of D^3 found "
-                          "in %d draws" % budget)
+                          "in %d draws" % _FIBER_DRAWS)
 
 
 def projected_sample(dist, q, p):
@@ -186,8 +190,9 @@ def projected_sample(dist, q, p):
     projection of p onto the annihilator of D^2(q), D^2 = span{X1, X2, X3}."""
     values = _square_values(dist, q)
     square = values[:3]
-    c = q_solve([[_dot(a, b) for b in square] for a in square],
-                [_dot(a, p) for a in square], 3)
+    # the Gram matrix is symmetric: c solves G c = (<X_a, p>)
+    gram = [[_dot(a, b) for b in square] for a in square]
+    c = q_coordinates(gram, 3)([_dot(a, p) for a in square])
     p = [pi - _dot(c, col) for pi, col in zip(p, zip(*square))]
     s = _sample_or_none(q, p, values)
     if s is None:
@@ -404,11 +409,6 @@ class FullFlagTable:
     bases: dict = field(default_factory=dict)
 
 
-def _nullspace_basis(rows, ncols):
-    _, basis = q_nullspace(rows, ncols)
-    return basis
-
-
 def _span_contains(basis, vec, ncols):
     ech = QEchelon(ncols)
     for b in basis:
@@ -431,11 +431,11 @@ def pointwise_full_flag(dist, sample, depth_cap=None):
     for h in hs[:3]:
         h_rows.append([h.diff(v).eval(lam) for v in names])
     h_rows.append(ct.taut_row(lam))
-    H = _nullspace_basis(h_rows, 2 * n)
+    H = q_nullspace(h_rows, 2 * n)[1]
     dim_H = len(H)
     # kernel of sigma restricted to H
     ker_rows = list(h_rows) + [ct.sigma_row(v) for v in H]
-    ker = _nullspace_basis(ker_rows, 2 * n)
+    ker = q_nullspace(ker_rows, 2 * n)[1]
     _, xc = char_field(dist)
     xc_val = [as_q(v) for v in xc.at(lam)]
     euler = ct.euler_value(lam)
@@ -451,15 +451,15 @@ def pointwise_full_flag(dist, sample, depth_cap=None):
         span = levels[min(i, len(levels) - 1)]
         dims_upper.append(len(span))
         rows = list(h_rows) + [ct.sigma_row(v) for v in span]
-        lower = _nullspace_basis(rows, 2 * n)
+        lower = q_nullspace(rows, 2 * n)[1]
         lower_bases.append(lower)
         dims_lower.append(len(lower))
-        vpart = _nullspace_basis(rows + vert_rows, 2 * n)
+        vpart = q_nullspace(rows + vert_rows, 2 * n)[1]
         dims_vert.append(len(vpart))
     # skew complement of J^(1) should be vertical-in-H plus the char line
     l1_ok = True
     if nu >= 1:
-        vH = _nullspace_basis(list(h_rows) + vert_rows, 2 * n)
+        vH = q_nullspace(list(h_rows) + vert_rows, 2 * n)[1]
         ech = QEchelon(2 * n)
         for b in vH:
             ech.add(b)

@@ -123,7 +123,7 @@ def test_criterion_5_symmetry_dimensions():
     stabilized = {}
     for n, want in expected.items():
         dist = monge_model(n)
-        out = stabilized_symmetry_basis(dist, max_degree=8)
+        out = stabilized_symmetry_basis(dist)
         stabilized[n] = dist, out
         if out.dim != want:
             report("5", False, "n=%d dim %d != %d" % (n, out.dim, want))

@@ -249,6 +249,23 @@ class TestErrors:
         assert code == 1
         assert "exceeds 65535" in capsys.readouterr().err
 
+    def test_symmetry_equation_exponent_overflow_is_an_input_error(
+            self, tmp_path, capsys):
+        # y^40000 * y^40000 in the symmetry equations used to carry into
+        # the next exponent field
+        p = tmp_path / "wrap_symmetries.json"
+        p.write_text(json.dumps({
+            "coordinates": ["x", "y", "z"],
+            "fields": [["1", "0", "y^40000"], ["0", "1", "x^40000*z"]],
+        }))
+        code, _ = run_cli(["symmetries", "--input", str(p), "--degree", "1"],
+                          tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert "exceeds 65535" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_missing_file(self, tmp_path):
         code, _ = run_cli(["analyze", "--input",
                            str(tmp_path / "nothere.json")], tmp_path)

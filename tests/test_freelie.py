@@ -92,6 +92,15 @@ class TestStructureConstants:
                             rebuilt[w] = rebuilt.get(w, Q(0)) + c * e
                 assert direct == {w: c for w, c in rebuilt.items() if c}
 
+    def test_decompose_rejects_a_non_lie_element(self):
+        fl = FreeLieTruncated(3)
+        # x0 x0 is no commutator: it lies outside the span of [x0, x1]
+        with pytest.raises(ValueError):
+            fl.decompose({(0, 0): Q(1)}, 2)
+        # the degree-2 part of a Lie element decomposes exactly
+        assert fl.decompose({(0, 1): Q(2), (1, 0): Q(-2)}, 2) == \
+            [(fl.index[(0, 1)], Q(2))]
+
 
 class TestBCH:
     def test_low_order_coefficients(self):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from rank2dist.kernel import (PoleError, Poly, PolyRing, Q, QEchelon,
                               RatFunc, ZeroDenominatorError, as_q,
                               clear_denominators, divexact, poly_gcd,
-                              q_inverse, q_nullspace, q_rref, q_solve,
+                              q_coordinates, q_inverse, q_nullspace,
                               q_sparse_nullspace, rf_nullspace, rf_rref,
                               rf_solve_minimal)
 from rank2dist import kernel
@@ -273,6 +273,11 @@ class TestRatFunc:
 
 # -- linear algebra over Q --------------------------------------------------
 
+def sym_matrix(rows):
+    return sp.Matrix([[sp.Rational(int(x.numerator), int(x.denominator))
+                       for x in r] for r in rows])
+
+
 def echelon(rows, ncols):
     ech = QEchelon(ncols)
     for r in rows:
@@ -295,10 +300,12 @@ class TestQLinear:
             assert sum(a * b for a, b in zip(r, v)) == 0
 
     def test_solve(self):
-        rows = [[1, 1], [1, -1]]
-        x = q_solve(rows, [Q(3), Q(1)], 2)
-        assert x == [Q(2), Q(1)]
-        assert q_solve([[1, 1], [1, 1]], [Q(0), Q(1)], 2) is None
+        # (3, 1) = 2 (1, 1) + (1, -1)
+        coordinates = q_coordinates([[1, 1], [1, -1]], 2)
+        assert coordinates([Q(3), Q(1)]) == [Q(2), Q(1)]
+        assert q_coordinates([[1, 1]], 2)([Q(0), Q(1)]) is None
+        with pytest.raises(ValueError):
+            q_coordinates([[1, 2, 3], [2, 4, 6]], 3)
 
     def test_inverse(self):
         m = [[2, 1, 0], [0, 1, 0], [1, 0, 1]]
@@ -311,9 +318,44 @@ class TestQLinear:
             q_inverse([[1, 2], [2, 4]])
 
     def test_rref_pivots(self):
-        rows = [[0, 1, 2], [1, 0, 1]]
-        rref, pivots = q_rref(rows, 3)
-        assert pivots == [0, 1]
+        ech = echelon([[0, 1, 2], [1, 0, 1]], 3)
+        assert sorted(ech.pivots) == [0, 1]
+        assert ech.pivots == {0: [1, 0, 1], 1: [0, 1, 2]}
+
+    @given(st.lists(st.lists(rationals, min_size=4, max_size=4),
+                    min_size=0, max_size=4),
+           st.lists(rationals, min_size=4, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_coordinates_match_sympy(self, vectors, v):
+        mat = sym_matrix(vectors).T if vectors else sp.zeros(4, 0)
+        if mat.rank() < len(vectors):
+            with pytest.raises(ValueError):
+                q_coordinates(vectors, 4)
+            return
+        coordinates = q_coordinates(vectors, 4)
+        # a vector in the span gets exactly the coefficients it was made of
+        coeffs = v[:len(vectors)]
+        inside = [sum((c * u[i] for c, u in zip(coeffs, vectors)), Q(0))
+                  for i in range(4)]
+        assert coordinates(inside) == coeffs
+        if mat.row_join(sym_matrix([v]).T).rank() > mat.rank():
+            assert coordinates(v) is None
+        else:
+            # independent vectors: the coordinates are unique
+            got = coordinates(v)
+            assert [sum((c * u[i] for c, u in zip(got, vectors)), Q(0))
+                    for i in range(4)] == v
+
+    @given(st.lists(st.lists(rationals, min_size=3, max_size=3),
+                    min_size=3, max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_inverse_matches_sympy(self, m):
+        mat = sym_matrix(m)
+        if mat.det() == 0:
+            with pytest.raises(ValueError):
+                q_inverse(m)
+            return
+        assert sym_matrix(q_inverse(m)) == mat.inv()
 
     @given(st.lists(st.lists(rationals, min_size=3, max_size=3),
                     min_size=1, max_size=4))

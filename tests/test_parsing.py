@@ -1,5 +1,7 @@
 """Expression grammar: precedence, errors with positions, round trips."""
 
+import time
+
 import pytest
 
 from rank2dist.kernel import PoleError, PolyRing, Q, RatFunc
@@ -76,6 +78,14 @@ class TestErrors:
         for text in ("(2^65535)^1024", "(2^65535*x)^65535"):
             with pytest.raises(OverflowError):
                 parse_expr(text, RING)
+
+    def test_power_of_a_sum_size_bounded(self):
+        # (x+1)^65535 has 65536 terms of up to 65535 bits each
+        start = time.perf_counter()
+        with pytest.raises(OverflowError):
+            parse_expr("(x+1)^65535", RING)
+        assert time.perf_counter() - start < 1
+        assert parse_expr("(x+y)^200", RING).num.total_degree() == 200
 
     def test_garbage_token(self):
         with pytest.raises(ExpressionError):
