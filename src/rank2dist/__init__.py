@@ -18,7 +18,7 @@ from .geometry import Chart, OneForm, VectorField, lie_bracket, pair
 from .distribution import (Distribution, FlagReport, GradedSymbol,
                            InvalidSymbol, cube_dim, equiregular_check,
                            is_goursat, strong_flag, tanaka_symbol, weak_flag)
-from .freelie import FreeLieTruncated, bch_words, lyndon_basis
+from .freelie import FreeLieTruncated, lyndon_basis
 from .models import (build_model, cartan_jet, deprolong,
                      deprolongation_degree, flat_from_symbol,
                      free_nilpotent_symbol, monge_model,

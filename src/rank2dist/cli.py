@@ -1,7 +1,7 @@
 """Command-line interface: analyze / trace / symmetries.
 
 Reports are deterministic JSON (schema `report-v1`): identical input plus
-seed produces byte-identical output.  Exit codes: 0 success, 1 input or
+seed produces byte-identical output.  Exit codes: 0 success, 1 usage, input or
 parse errors, 2 geometric precondition failures.
 """
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import re
 import sys
 
@@ -224,8 +225,30 @@ def _basis_str(fields):
         return [[c.to_str() for c in f.components] for f in fields]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as input errors (exit 1) instead of exiting 2,
+    which the exit-code contract keeps for precondition failures."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("must be finite, got %r" % text)
+    return value
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %r" % text)
+    return value
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="rank2dist",
         description="Exact analysis of bracket-generating rank-2 "
                     "distributions: growth vectors, class invariants, "
@@ -241,7 +264,7 @@ def build_parser():
         sp.add_argument("--prolong", type=int, default=0,
                         help="apply this many prolongations")
         sp.add_argument("--input", help="input spec JSON file")
-        sp.add_argument("--samples", type=int, default=5)
+        sp.add_argument("--samples", type=_positive_int, default=5)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--depth-cap", type=int, default=None)
         sp.add_argument("--out", help="write report JSON here "
@@ -255,7 +278,7 @@ def build_parser():
     t = sub.add_parser("trace", help="integrate an abnormal extremal and "
                                      "track the class")
     common(t)
-    t.add_argument("--T", type=float, default=0.5)
+    t.add_argument("--T", type=_finite_float, default=0.5)
     t.add_argument("--steps", type=int, default=500)
     t.set_defaults(func=cmd_trace)
 
@@ -277,9 +300,8 @@ def emit(report, args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         report = args.func(args)
     except (PreconditionError, PoleError) as e:
         print("precondition failed: %s" % e, file=sys.stderr)

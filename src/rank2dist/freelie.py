@@ -4,11 +4,8 @@ Elements are represented inside the truncated tensor algebra (dicts from
 words over {0,1} to rationals).  The Lyndon basis provides a basis of each
 graded component; bracket words for basis elements use the same nested-pair
 word encoding as the distribution module (ints for generators, pairs for
-brackets).
-
-Also computes the Baker-Campbell-Hausdorff combination as an exact rational
-combination of Lyndon bracket words, used to build polynomial group laws
-for flat models.
+brackets).  The structure constants in that basis define the free
+nilpotent symbols whose flat models `models.flat_from_symbol` builds.
 """
 
 from __future__ import annotations
@@ -56,32 +53,6 @@ def ta_mul(a, b, maxlen):
 
 def ta_commutator(a, b, maxlen):
     return ta_add(ta_mul(a, b, maxlen), ta_scale(ta_mul(b, a, maxlen), -1))
-
-
-def ta_exp(a, maxlen):
-    """exp of an element with no constant term, truncated."""
-    out = {(): Q(1)}
-    term = {(): Q(1)}
-    for k in range(1, maxlen + 1):
-        term = ta_scale(ta_mul(term, a, maxlen), Q(1, k))
-        if not term:
-            break
-        out = ta_add(out, term)
-    return out
-
-
-def ta_log(a, maxlen):
-    """log of an element with constant term 1, truncated."""
-    y = dict(a)
-    y.pop((), None)
-    out = {}
-    term = {(): Q(1)}
-    for k in range(1, maxlen + 1):
-        term = ta_mul(term, y, maxlen)
-        if not term:
-            break
-        out = ta_add(out, ta_scale(term, Q((-1) ** (k + 1), k)))
-    return out
 
 
 # -- Lyndon words and bracketing --------------------------------------------
@@ -183,25 +154,3 @@ class FreeLieTruncated:
                         st[a][b][i] = c
                         st[b][a][i] = -c
         return st
-
-    def bch_combination(self):
-        """BCH: log(exp(e0) exp(e1)) as [(bracket_word, coeff), ...]."""
-        ea = {(0,): Q(1)}
-        eb = {(1,): Q(1)}
-        z = ta_log(ta_mul(ta_exp(ea, self.mu), ta_exp(eb, self.mu), self.mu),
-                   self.mu)
-        out = []
-        for d in range(1, self.mu + 1):
-            part = {w: c for w, c in z.items() if len(w) == d}
-            if not part:
-                continue
-            for i, c in self.decompose(part, d):
-                if c:
-                    out.append((self.bracket_words[i], c))
-        return out
-
-
-@lru_cache(maxsize=None)
-def bch_words(mu):
-    """Cached BCH combination at truncation step mu."""
-    return tuple(FreeLieTruncated(mu).bch_combination())

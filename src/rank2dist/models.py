@@ -1,19 +1,20 @@
 """Model families and transformers: Monge flat models, Cartan jet models,
 prolongation, deprolongation (with degree), free nilpotent symbols, and
-flat distributions built from graded symbols."""
+flat distributions built from graded symbols: the left-invariant fields of
+the symbol's nilpotent group, read off its Maurer-Cartan form."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .kernel import (PoleError, Poly, PolyRing, Q, RatFunc, as_q,
-                     clear_denominators, q_inverse, rf_nullspace, rf_rref)
+from .kernel import (PoleError, Q, RatFunc, as_q, clear_denominators,
+                     q_inverse, rf_nullspace, rf_rref)
 from .geometry import Chart, OneForm, VectorField, linear_change
 from .distribution import (Distribution, GradedSymbol, cube_dim,
                            nearby_points, square_fields, strong_flag,
                            weak_flag)
-from .freelie import FreeLieTruncated, bch_words
+from .freelie import FreeLieTruncated
 
 
 # ---------------------------------------------------------------------------
@@ -292,116 +293,64 @@ def free_nilpotent_symbol(step):
     return sym
 
 
-class NilpotentGroup:
-    """Simply connected nilpotent group of a graded symbol, in exponential
-    coordinates of the second kind, with exact polynomial group data."""
+def left_invariant_fields(sym, vectors):
+    """Left-invariant vector fields with the given values sum v_i e_i at
+    the identity, in exponential coordinates of the second kind
+    g = exp(x1 e1) ... exp(xn en) on the group of the graded symbol.
 
-    def __init__(self, sym):
-        sym.validate()
-        self.sym = sym
-        self.n = sym.total_dim
-        self.mu = sym.depth
-        self.coords = tuple("x%d" % (i + 1) for i in range(self.n))
-        self.chart = Chart(self.coords)
-        self._bch = bch_words(self.mu)
+    They come from the Maurer-Cartan form: g^-1 dg/dx_k is
+    w_k = Ad(exp(-xn en)) ... Ad(exp(-x_{k+1} e_{k+1})) e_k, each Ad a finite
+    ad-exponential, and X_v = sum c_k d/dx_k with sum c_k w_k = v.  The basis
+    is ordered by depth, so w_k is e_k plus deeper terms and forward
+    substitution solves the unipotent lower-triangular system."""
+    n = sym.total_dim
+    chart = Chart(tuple("x%d" % (i + 1) for i in range(n)))
+    ring = chart.ring
+    xs = ring.gens()
+    # ad[j] lists (b, m, c): [e_j, e_b] has coefficient c on e_m
+    ad = [[(b, m, c) for b, row in enumerate(rows) for m, c in enumerate(row)
+           if c] for rows in sym.structure]
 
-    # Lie algebra elements carry coefficients from an arbitrary PolyRing.
+    def ad_exp(j, w):
+        """Ad(exp(-x_j e_j)) w = sum_p (-x_j)^p / p! ad_{e_j}^p w."""
+        out, term, p = list(w), w, 0
+        while True:
+            p += 1
+            nxt = [ring.zero()] * n
+            for b, m, c in ad[j]:
+                if not term[b].is_zero():
+                    nxt[m] = nxt[m] + term[b].scale(c)
+            if all(t.is_zero() for t in nxt):
+                return out
+            term = [(t * xs[j]).scale(Q(-1, p)) for t in nxt]
+            out = [o + t for o, t in zip(out, term)]
 
-    def _basis_elt(self, i, ring, coeff=None):
-        zero = ring.zero()
-        v = [zero] * self.n
-        v[i] = ring.one() if coeff is None else coeff
-        return v
-
-    def _bracket(self, u, v, ring):
-        out = [ring.zero()] * self.n
-        st = self.sym.structure
-        for a in range(self.n):
-            ua = u[a]
-            if ua.is_zero():
-                continue
-            for b in range(self.n):
-                vb = v[b]
-                if vb.is_zero():
-                    continue
-                row = st[a][b]
-                prod = None
-                for k in range(self.n):
-                    if row[k]:
-                        if prod is None:
-                            prod = ua * vb
-                        out[k] = out[k] + prod.scale(row[k])
-        return out
-
-    def bch(self, u, v, ring):
-        """Baker-Campbell-Hausdorff product log(exp(u) exp(v))."""
-        cache = {}
-
-        def ev(word):
-            if isinstance(word, int):
-                return u if word == 0 else v
-            key = id(word)
-            got = cache.get(key)
-            if got is None:
-                got = self._bracket(ev(word[0]), ev(word[1]), ring)
-                cache[key] = got
-            return got
-
-        out = [ring.zero()] * self.n
-        for word, c in self._bch:
-            val = ev(word)
-            out = [o + x.scale(c) for o, x in zip(out, val)]
-        return out
-
-    def log_coords(self, ring, xs):
-        """log of exp(x1 e1) ... exp(xn en) as a Lie algebra element."""
-        z = self._basis_elt(0, ring, xs[0])
-        for k in range(1, self.n):
-            z = self.bch(z, self._basis_elt(k, ring, xs[k]), ring)
-        return z
-
-    def second_kind_coords(self, z, ring):
-        """Coordinates y with exp(y1 e1) ... exp(yn en) = exp(z).
-
-        Valid because the basis is ordered by increasing depth: brackets
-        never feed back into the component currently being peeled."""
-        ys = []
-        for k in range(self.n):
-            yk = z[k]
-            ys.append(yk)
-            z = self.bch(self._basis_elt(k, ring, yk.scale(-1)), z, ring)
-        return ys
-
-    def left_invariant_field(self, v_coords):
-        """Left-invariant vector field with value sum v_i e_i at identity."""
-        ring = PolyRing(self.coords + ("_t",))
-        xs = [ring.var(nm) for nm in self.coords]
-        t = ring.var("_t")
-        z = self.log_coords(ring, xs)
-        tv = [t.scale(c) if c else ring.zero() for c in v_coords]
-        zt = self.bch(z, tv, ring)
-        ys = self.second_kind_coords(zt, ring)
-        t_idx = ring.index["_t"]
-        comps = []
-        for y in ys:
-            # d/dt at t = 0: drop the terms that still carry t
-            d = y.diff("_t")
-            at0 = Poly(ring, {k: c for k, c in d.terms.items()
-                              if not ring.decode(k)[t_idx]})
-            comps.append(RatFunc.from_poly(at0.embed(self.chart.ring)))
-        return VectorField(self.chart, comps)
+    omega = []
+    for k in range(n):
+        w = [ring.one() if i == k else ring.zero() for i in range(n)]
+        for j in range(k + 1, n):
+            w = ad_exp(j, w)
+        omega.append(w)
+    fields = []
+    for v in vectors:
+        c = []
+        for i in range(n):
+            ci = ring.const(v[i])
+            for k in range(i):
+                ci = ci - c[k] * omega[k][i]
+            c.append(ci)
+        fields.append(VectorField(chart, [RatFunc.from_poly(p) for p in c]))
+    return fields
 
 
 def flat_from_symbol(sym):
     """Left-invariant flat distribution of a graded symbol, as a polynomial
     frame in exponential coordinates of the second kind."""
-    grp = NilpotentGroup(sym)
-    frame = []
-    for i in range(sym.dims[0]):
-        v = [Q(0)] * sym.total_dim
-        v[i] = Q(1)
-        frame.append(grp.left_invariant_field(v))
-    return Distribution(grp.chart, frame)
+    sym.validate()
+    units = [[Q(int(i == j)) for j in range(sym.total_dim)]
+             for i in range(sym.dims[0])]
+    frame = left_invariant_fields(sym, units)
+    return Distribution(frame[0].chart, frame)
 
 
 # ---------------------------------------------------------------------------
@@ -419,19 +368,28 @@ class ModelSpec:
         return [Q(0)] * self.distribution.chart.dim
 
 
+def _param(family, params, name):
+    if name not in params:
+        raise ValueError("model %s needs --%s" % (family, name))
+    return int(params[name])
+
+
 def build_model(family, **params):
     if family == "monge":
-        n = int(params["n"])
+        n = _param(family, params, "n")
         dist = monge_model(n)
         return ModelSpec("monge", {"n": n}, dist)
     if family in ("cartan-jet", "cartan_jet"):
-        k = int(params["k"])
+        k = _param(family, params, "k")
         return ModelSpec("cartan-jet", {"k": k}, cartan_jet(k))
     if family in ("free-flat", "free_flat"):
-        step = int(params["step"])
+        step = _param(family, params, "step")
         sym = free_nilpotent_symbol(step)
         return ModelSpec("free-flat", {"step": step}, flat_from_symbol(sym))
     if family == "prolonged":
+        if "base" not in params:
+            raise ValueError("model prolonged needs a base model: use "
+                             "--model BASE --prolong COUNT")
         base = build_model(params["base"], **params.get("base_params", {}))
         dist = base.distribution
         count = int(params.get("count", 1))

@@ -151,24 +151,28 @@ def symmetry_basis(dist, d, weights="auto"):
     The returned dimension is a lower bound for the full symmetry algebra
     dimension (exact once stabilized for homogeneous models).
     """
+    if d < 0:
+        raise ValueError("symmetry degree must be at least 0, got %d" % d)
     chart = dist.chart
     ring = chart.ring
     n = chart.dim
     forms = annihilator_forms(dist)
     if weights == "auto":
         weights = detect_weights(dist)
+    if weights is not None:
+        forms = [h for f in forms for h in _split_form_by_weight(f, weights)]
+    # the exponent guard runs before the monomials are enumerated
+    system = _SymmetrySystem(ring, _poly_components(dist.frame), forms, d)
     monos = _monomials_up_to(ring, d)
     unknowns = [(key, i) for i in range(n) for key in monos]
     if weights is None:
         blocks = {0: unknowns}
     else:
-        forms = [h for f in forms for h in _split_form_by_weight(f, weights)]
         blocks = {}
         for key, i in unknowns:
             exps = ring.decode(key)
             wt = sum(w * e for w, e in zip(weights, exps)) - weights[i]
             blocks.setdefault(wt, []).append((key, i))
-    system = _SymmetrySystem(ring, _poly_components(dist.frame), forms, d)
     fields = []
     for wt in sorted(blocks):
         block = blocks[wt]

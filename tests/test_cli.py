@@ -266,6 +266,57 @@ class TestErrors:
         assert "exceeds 65535" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("args, flag", [
+        (["--model", "monge"], "--n"),
+        (["--model", "free-flat"], "--step"),
+        (["--model", "cartan-jet"], "--k"),
+        (["--model", "prolonged"], "--prolong"),
+    ], ids=["monge", "free-flat", "cartan-jet", "prolonged"])
+    def test_missing_model_parameter(self, tmp_path, capsys, args, flag):
+        code, _ = run_cli(["analyze"] + args, tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert flag in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv, named", [
+        (["analyze", "--n", "abc"], "--n"),
+        (["analyze", "--model", "monge", "--n", "5", "--bogus"], "--bogus"),
+        (["nope"], "nope"),
+        ([], "command"),
+        (["trace", "--model", "monge", "--n", "6", "--T", "inf"], "--T"),
+        (["trace", "--model", "monge", "--n", "6", "--T", "nan"], "--T"),
+        (["analyze", "--model", "monge", "--n", "6", "--samples", "0"],
+         "--samples"),
+    ], ids=["bad-int", "unknown-flag", "unknown-command", "no-command",
+            "T-inf", "T-nan", "samples-0"])
+    def test_argument_errors_are_input_errors(self, capsys, argv, named):
+        # exit 2 is kept for geometric precondition failures
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert named in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--help"])
+        assert exc.value.code == 0
+        assert "--model" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("degree", ["65536", "-1"])
+    def test_symmetry_degree_out_of_range(self, tmp_path, capsys, degree):
+        # the exponent guard runs before any monomial is enumerated
+        start = time.perf_counter()
+        code, _ = run_cli(["symmetries", "--model", "monge", "--n", "5",
+                           "--degree", degree], tmp_path)
+        assert code == 1
+        assert time.perf_counter() - start < 5
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert len(err.strip().splitlines()) == 1
+
     def test_missing_file(self, tmp_path):
         code, _ = run_cli(["analyze", "--input",
                            str(tmp_path / "nothere.json")], tmp_path)

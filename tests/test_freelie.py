@@ -1,11 +1,10 @@
-"""Free 2-generator Lie algebra: Lyndon basis, structure constants, BCH."""
+"""Free 2-generator Lie algebra: Lyndon basis, structure constants."""
 
 import pytest
 
-from rank2dist.freelie import (FreeLieTruncated, bch_words, bracket_word,
-                               expand_word, lyndon_basis,
-                               standard_factorization, ta_commutator,
-                               ta_exp, ta_log, ta_mul)
+from rank2dist.freelie import (FreeLieTruncated, bracket_word,
+                               lyndon_basis, standard_factorization,
+                               ta_commutator)
 from rank2dist.kernel import Q
 
 
@@ -31,10 +30,6 @@ class TestLyndon:
 
 
 class TestTensorAlgebra:
-    def test_exp_log_inverse(self):
-        a = {(0,): Q(1), (1,): Q(1, 2)}
-        assert ta_log(ta_exp(a, 4), 4) == a
-
     def test_commutator_antisymmetry(self):
         a = {(0,): Q(1)}
         b = {(1,): Q(1)}
@@ -100,42 +95,3 @@ class TestStructureConstants:
         # the degree-2 part of a Lie element decomposes exactly
         assert fl.decompose({(0, 1): Q(2), (1, 0): Q(-2)}, 2) == \
             [(fl.index[(0, 1)], Q(2))]
-
-
-class TestBCH:
-    def test_low_order_coefficients(self):
-        # z = a + b + [a,b]/2 + [a,[a,b]]/12 + [b,[b,a]]/12 - [a,[b,[a,b]]]/24
-        coeffs = dict(bch_words(4))
-        assert coeffs[0] == Q(1)
-        assert coeffs[1] == Q(1)
-        assert coeffs[(0, 1)] == Q(1, 2)
-        assert coeffs[(0, (0, 1))] == Q(1, 12)
-        # degree-3 companion term and the single degree-4 word
-        deg3 = [c for w, c in coeffs.items()
-                if not isinstance(w, int) and wlen(w) == 3]
-        assert Q(1, 12) in deg3 and (Q(-1, 12) in deg3 or Q(1, 12) in deg3)
-        deg4 = [c for w, c in coeffs.items()
-                if not isinstance(w, int) and wlen(w) == 4]
-        assert len(deg4) == 1 and abs(deg4[0]) == Q(1, 24)
-
-    def test_group_law_consistency(self):
-        # exp(a)exp(b) recomputed from the word combination
-        mu = 4
-        a = {(0,): Q(1)}
-        b = {(1,): Q(1)}
-        z = ta_log(ta_mul(ta_exp(a, mu), ta_exp(b, mu), mu), mu)
-        rebuilt = {}
-        for w, c in bch_words(mu):
-            for t, e in expand_word(w, mu).items():
-                v = rebuilt.get(t, Q(0)) + c * e
-                if v:
-                    rebuilt[t] = v
-                else:
-                    rebuilt.pop(t, None)
-        assert rebuilt == z
-
-
-def wlen(word):
-    if isinstance(word, int):
-        return 1
-    return wlen(word[0]) + wlen(word[1])

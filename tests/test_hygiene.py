@@ -1,16 +1,19 @@
 """Source hygiene checks that stand in for a linter: no unused imports in the
 package, packed-monomial bit access only inside the kernel, no float linear
 algebra (ranks are decided exactly), no symbolic brackets in the class
-tower, and no `assert` statements (they vanish under `python -O`;
-invariants raise errors)."""
+tower, no `assert` statements (they vanish under `python -O`;
+invariants raise errors), and every function the perfbench tracer wraps
+still exists."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
 import pytest
 
-PKG = Path(__file__).resolve().parents[1] / "src" / "rank2dist"
+ROOT = Path(__file__).resolve().parents[1]
+PKG = ROOT / "src" / "rank2dist"
 SOURCES = sorted(PKG.glob("*.py"))
 # the package namespace re-exports its imports
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
@@ -98,6 +101,25 @@ def _names(path):
 def test_class_tower_has_no_symbolic_brackets():
     # the tower values come from flow series (geometry.BracketSeries)
     assert "lie_bracket" not in _names(PKG / "symplectic.py")
+
+
+def _traced_names():
+    """(module, function) pairs of `TARGETS` in perfbench/tracing.py."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    targets, = [ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign) and
+                [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]]
+    return [(mod, fn) for mod, names in targets.items() for fn in names]
+
+
+def test_traced_names_exist():
+    # the tracer's installer does a plain getattr on each name
+    names = _traced_names()
+    assert names
+    missing = [(mod, fn) for mod, fn in names
+               if not hasattr(importlib.import_module("rank2dist." + mod),
+                              fn)]
+    assert missing == []
 
 
 def test_assert_check_sees_an_assert(tmp_path):

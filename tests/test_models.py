@@ -6,15 +6,19 @@ from rank2dist.distribution import tanaka_symbol, weak_flag
 from rank2dist.errors import PreconditionError
 from rank2dist.geometry import lie_bracket, pair
 from rank2dist.kernel import Q
-from rank2dist.models import (NilpotentGroup, build_model, cartan_jet,
+from rank2dist.models import (build_model, cartan_jet,
                               cauchy_characteristic, deprolong,
                               deprolongation_degree, flat_from_symbol,
-                              free_nilpotent_symbol, monge_model,
-                              monge_pfaffian_forms, prolong)
+                              free_nilpotent_symbol, left_invariant_fields,
+                              monge_model, monge_pfaffian_forms, prolong)
 
 
 def origin(dist):
     return [Q(0)] * dist.chart.dim
+
+
+def unit(n, i):
+    return [Q(int(i == j)) for j in range(n)]
 
 
 class TestMongeModel:
@@ -136,20 +140,46 @@ class TestFlatModels:
     def test_left_invariance_bracket_compatibility(self):
         # [X_v, X_w] = X_[v,w] for left-invariant extensions
         sym = free_nilpotent_symbol(3)
-        grp = NilpotentGroup(sym)
-        n = sym.total_dim
-
-        def e(i):
-            v = [Q(0)] * n
-            v[i] = Q(1)
-            return v
-
+        units = [unit(sym.total_dim, i) for i in range(2)]
+        fields = left_invariant_fields(sym, units)
         for a in range(2):
             for b in range(2):
-                got = lie_bracket(grp.left_invariant_field(e(a)),
-                                  grp.left_invariant_field(e(b)))
-                expect = grp.left_invariant_field(sym.bracket(e(a), e(b)))
+                got = lie_bracket(fields[a], fields[b])
+                expect, = left_invariant_fields(
+                    sym, [sym.bracket(units[a], units[b])])
                 assert got == expect
+
+    @pytest.mark.parametrize("step, frame", [
+        (3, [["1", "0", "-x2", "-x3", "-1/2*x2^2"],
+             ["0", "1", "0", "0", "x3"]]),
+        (4, [["1", "0", "-x2", "-x3", "-1/2*x2^2", "-x4", "-x5",
+              "-1/6*x2^3"],
+             ["0", "1", "0", "0", "x3", "0", "x4", "x5"]]),
+    ], ids=["step3", "step4"])
+    def test_free_flat_frames(self, step, frame):
+        dist = flat_from_symbol(free_nilpotent_symbol(step))
+        assert [[c.to_str() for c in f.components]
+                for f in dist.frame] == frame
+
+    @pytest.mark.parametrize("source", ["free5", "monge5", "monge6",
+                                        "monge7", "monge8"])
+    def test_left_invariant_fields_realize_the_symbol(self, source):
+        # X_v(0) = v, and [X_a, X_b] = X_[a,b] on g_-1 + g_-2
+        if source == "free5":
+            sym = free_nilpotent_symbol(5)
+        else:
+            n = int(source[5:])
+            sym = tanaka_symbol(monge_model(n), [Q(0)] * n)
+        n = sym.total_dim
+        units = [unit(n, i) for i in range(sym.dims[0] + sym.dims[1])]
+        fields = left_invariant_fields(sym, units)
+        for v, f in zip(units, fields):
+            assert f.at([Q(0)] * n) == v
+        for a in range(len(units)):
+            for b in range(a + 1, len(units)):
+                expect, = left_invariant_fields(
+                    sym, [sym.bracket(units[a], units[b])])
+                assert lie_bracket(fields[a], fields[b]) == expect
 
     def test_flat_symbol_round_trip(self):
         sym = tanaka_symbol(monge_model(5), [Q(0)] * 5)
