@@ -240,11 +240,15 @@ def _finite_float(text):
     return value
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, got %r" % text)
-    return value
+def _int_at_least(low):
+    """Argument type of integers >= low."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %r"
+                                             % (low, text))
+        return value
+    return integer
 
 
 def build_parser():
@@ -261,12 +265,12 @@ def build_parser():
         sp.add_argument("--n", type=int, help="dimension for monge")
         sp.add_argument("--k", type=int, help="jet order for cartan-jet")
         sp.add_argument("--step", type=int, help="step for free-flat")
-        sp.add_argument("--prolong", type=int, default=0,
+        sp.add_argument("--prolong", type=_int_at_least(0), default=0,
                         help="apply this many prolongations")
         sp.add_argument("--input", help="input spec JSON file")
-        sp.add_argument("--samples", type=_positive_int, default=5)
+        sp.add_argument("--samples", type=_int_at_least(1), default=5)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--depth-cap", type=int, default=None)
+        sp.add_argument("--depth-cap", type=_int_at_least(0), default=None)
         sp.add_argument("--out", help="write report JSON here "
                                       "(default stdout)")
 
@@ -279,7 +283,7 @@ def build_parser():
                                      "track the class")
     common(t)
     t.add_argument("--T", type=_finite_float, default=0.5)
-    t.add_argument("--steps", type=int, default=500)
+    t.add_argument("--steps", type=_int_at_least(0), default=500)
     t.set_defaults(func=cmd_trace)
 
     s = sub.add_parser("symmetries", help="polynomial symmetry basis")

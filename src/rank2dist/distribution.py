@@ -446,16 +446,3 @@ def tanaka_symbol(dist, q, samples=3, seed=0):
         raise NotBracketGenerating(
             "bracket words span only %d of %d dimensions" % (rep.dims[-1], n))
     return _symbol_from_basis(rep.words, lambda w: dist.word_value(w, q))
-
-
-def abstract_tanaka_replay(sym):
-    """Run the tanaka adapted-basis procedure inside an abstract symbol.
-
-    Returns the GradedSymbol the pointwise algorithm would produce for the
-    flat model of `sym`, using the same deterministic word order.  Used by
-    the flat-model round trip.
-    """
-    _, levels, _ = _weak_levels(sym.eval_word, lambda w: any(sym.eval_word(w)),
-                                range(sym.dims[0]), sym.total_dim,
-                                sym.total_dim)
-    return _symbol_from_basis(levels, sym.eval_word)

@@ -1,18 +1,18 @@
 """Numeric integration of the characteristic field and the class along
 trajectories, with the corank bound for regular abnormal extremals.
 
-Floats are confined to the integrator; no rank is decided in floats.  The
-class at a recorded state is exact: the state's coordinates are read as
-exact binary rationals and the momentum is projected exactly onto the
-annihilator of D^2, so nu_trace[k] is the exact class at the rational
-covector derived from recorded state k, not at the float point itself.
+Floats are confined to the integrator: RK4 on plain lists, with X_C and
+h1..h5 compiled into straight-line float functions.  No rank is decided in
+floats.  The class at a recorded state is exact: the state's coordinates
+are read as exact binary rationals and the momentum is projected exactly
+onto the annihilator of D^2, so nu_trace[k] is the exact class at the
+rational covector derived from recorded state k, not at the float point
+itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import PreconditionError
 from .kernel import as_q
@@ -23,48 +23,34 @@ from .symplectic import (char_field, class_at_sample, hamiltonians,
 _H45_FLOOR = 1e-9
 
 
-def compile_scalar(rf):
-    """Compile a rational function into a float-valued callable on states."""
-    num = _compile_poly(rf.num)
-    if rf.den.is_const():
-        c = float(rf.den.const_value())
-        if c == 1.0:
-            return num
-        return lambda s, _n=num, _c=c: _n(s) / _c
-    den = _compile_poly(rf.den)
-    return lambda s, _n=num, _d=den: _n(s) / _d(s)
+def compile_floats(rfs):
+    """Compile rational functions into one straight-line function that maps
+    a state list to the list of their float values.
 
+    Each polynomial is summed from 0.0 one term at a time, in `terms` order,
+    with one statement per term (one long expression overflows the
+    compiler's recursion limit).  The generated source holds only float
+    literals, indices and exponents."""
+    lines = ["def values(s):"]
 
-def _compile_poly(p):
-    ring = p.ring
-    terms = []
-    for k, c in p.terms.items():
-        powers = tuple((i, e) for i, e in enumerate(ring.decode(k)) if e)
-        terms.append((float(c), powers))
-    terms = tuple(terms)
+    def poly(name, p):
+        lines.append("    %s = 0.0" % name)
+        for k, c in p.terms.items():
+            lines.append("    %s += %r" % (name, float(c)) + "".join(
+                " * s[%d] ** %d" % (i, e) if e > 1 else " * s[%d]" % i
+                for i, e in enumerate(p.ring.decode(k)) if e))
 
-    def ev(state, _terms=terms):
-        total = 0.0
-        for c, powers in _terms:
-            t = c
-            for i, e in powers:
-                t *= state[i] ** e
-            total += t
-        return total
-
-    return ev
-
-
-def compile_field(vf):
-    """Compile a vector field into state -> numpy array of component values."""
-    comps = [compile_scalar(c) for c in vf.components]
-
-    def ev(state, _comps=comps):
-        # Python floats index and multiply faster than numpy scalars
-        s = state.tolist()
-        return np.array([c(s) for c in _comps])
-
-    return ev
+    for j, rf in enumerate(rfs):
+        poly("v%d" % j, rf.num)
+        # a constant denominator is 1 (RatFunc keeps denominators monic)
+        if not rf.den.is_const():
+            poly("d", rf.den)
+            lines.append("    v%d /= d" % j)
+    lines.append("    return [%s]" % ", ".join("v%d" % j
+                                             for j in range(len(rfs))))
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return namespace["values"]
 
 
 @dataclass
@@ -89,35 +75,35 @@ def integrate_char(dist, sample, T, steps, residual_tol=1e-6):
     meaningful as unparametrized curves.
     """
     _, xc = char_field(dist)
-    rhs = compile_field(xc)
+    rhs = compile_floats(xc.components)
     _, hs = hamiltonians(dist)
-    h_funcs = [compile_scalar(h) for h in hs]
-    state = np.array([float(v) for v in sample.point])
-    if not np.any(rhs(state)):
+    h_values = compile_floats(hs)
+    s = [float(v) for v in sample.point]
+    if not any(rhs(s)):
         raise PreconditionError("characteristic field vanishes at the "
                                 "initial covector")
-    s = state.tolist()
-    floor0 = abs(h_funcs[3](s)) + abs(h_funcs[4](s))
+    hv = h_values(s)
+    floor0 = abs(hv[3]) + abs(hv[4])
     if floor0 <= _H45_FLOOR:
         raise PreconditionError("initial covector too close to the "
                                 "annihilator of D^3")
-    times = [0.0]
-    states = [s]
-    res = [max(abs(h_funcs[i](s)) for i in range(3))]
-    floor = [floor0]
+    times, states, res, floor = [0.0], [s], [max(map(abs, hv[:3]))], [floor0]
     traj = Trajectory(times, states, res, floor)
     if steps == 0 or T == 0:
         return traj
     h = T / steps
+    # this operation grouping keeps the float bits of earlier reports
+    half, sixth = 0.5 * h, h / 6.0
     for k in range(steps):
-        k1 = rhs(state)
-        k2 = rhs(state + 0.5 * h * k1)
-        k3 = rhs(state + 0.5 * h * k2)
-        k4 = rhs(state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        s = state.tolist()
-        r = max(abs(h_funcs[i](s)) for i in range(3))
-        f45 = abs(h_funcs[3](s)) + abs(h_funcs[4](s))
+        k1 = rhs(s)
+        k2 = rhs([a + half * b for a, b in zip(s, k1)])
+        k3 = rhs([a + half * b for a, b in zip(s, k2)])
+        k4 = rhs([a + h * b for a, b in zip(s, k3)])
+        s = [a + sixth * (((b1 + 2 * b2) + 2 * b3) + b4)
+             for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4)]
+        hv = h_values(s)
+        r = max(map(abs, hv[:3]))
+        f45 = abs(hv[3]) + abs(hv[4])
         times.append((k + 1) * h)
         states.append(s)
         res.append(r)
@@ -186,10 +172,10 @@ def endpoint_errors(dist, sample, T, steps_list):
     4th-order convergence (16x drop per step halving)."""
     ref = integrate_char(dist, sample, T, max(steps_list) * 8,
                          residual_tol=float("inf"))
-    ref_end = np.array(ref.states[-1])
     out = []
     for steps in steps_list:
         traj = integrate_char(dist, sample, T, steps,
                               residual_tol=float("inf"))
-        out.append(float(np.max(np.abs(np.array(traj.states[-1]) - ref_end))))
+        out.append(max(abs(a - b)
+                       for a, b in zip(traj.states[-1], ref.states[-1])))
     return out

@@ -104,14 +104,6 @@ class VectorField:
     def is_zero(self):
         return all(c.is_zero() for c in self.components)
 
-    def apply_to(self, f):
-        """Directional derivative X(f) of a scalar function."""
-        out = RatFunc.from_const(self.chart.ring, 0)
-        for comp, var in zip(self.components, self.chart.coords):
-            if not comp.is_zero():
-                out = out + comp * f.diff(var)
-        return out
-
     def at(self, point):
         """Exact value at a rational point, as a list of Q."""
         if len(point) != self.chart.dim:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import lcm
+from math import comb, lcm
 
 from .errors import PreconditionError
 from .kernel import (MAX_EXPONENT, Poly, Q, QEchelon, RatFunc, add_product,
@@ -26,6 +26,8 @@ from .distribution import per_distribution, structure_bracket
 
 # the largest degree bound stabilized_symmetry_basis tries
 MAX_SYMMETRY_DEGREE = 8
+# symmetry_basis refuses systems with more monomial unknowns than this
+MAX_SYMMETRY_UNKNOWNS = 10 ** 6
 
 
 @per_distribution
@@ -163,6 +165,10 @@ def symmetry_basis(dist, d, weights="auto"):
         forms = [h for f in forms for h in _split_form_by_weight(f, weights)]
     # the exponent guard runs before the monomials are enumerated
     system = _SymmetrySystem(ring, _poly_components(dist.frame), forms, d)
+    count = n * comb(n + d, d)
+    if count > MAX_SYMMETRY_UNKNOWNS:
+        raise OverflowError("degree %d gives %d monomial unknowns, more than "
+                            "%d" % (d, count, MAX_SYMMETRY_UNKNOWNS))
     monos = _monomials_up_to(ring, d)
     unknowns = [(key, i) for i in range(n) for key in monos]
     if weights is None:

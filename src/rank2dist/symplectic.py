@@ -59,21 +59,6 @@ class CotangentChart:
                     self.lift_function(comp)
         return out
 
-    def poisson(self, f, g):
-        """{f, g} = sum_i (df/dp_i dg/dx_i - df/dx_i dg/dp_i), so that
-        {p_i, x_j} = delta_ij and {h_X, h_Y} = h_[X,Y]."""
-        if f.ring is not self.ring or g.ring is not self.ring:
-            raise ValueError("hamiltonians on a different cotangent chart")
-        out = RatFunc.from_const(self.ring, 0)
-        for xi, pi in zip(self.base.coords, self.momenta):
-            fp, gx = f.diff(pi), g.diff(xi)
-            if not (fp.is_zero() or gx.is_zero()):
-                out = out + fp * gx
-            fx, gp = f.diff(xi), g.diff(pi)
-            if not (fx.is_zero() or gp.is_zero()):
-                out = out - fx * gp
-        return out
-
     def ham_field(self, h):
         """Hamiltonian vector field of h: applying it to g gives {h, g}."""
         comps = [h.diff(pi) for pi in self.momenta] + \

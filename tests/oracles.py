@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive: dense sympy expressions and
 textbook formulas with no shared code with the package under test.  The
-one exception is `symbolic_class_tower`, which replays the class tower on
-the package's own exact vector fields with symbolic Lie brackets, the path
-that flow series replaced.
+exceptions, at the end, run on the package's own exact objects:
+`symbolic_class_tower` replays the class tower with symbolic Lie brackets,
+the path that flow series replaced; `apply_to`, `poisson` and
+`abstract_tanaka_replay` are exact calculus that only tests call.
 """
 
 import itertools
@@ -244,3 +245,47 @@ def symbolic_class_tower(dist, sample, depth_cap=None):
             return i - 1, tuple(dims), levels
         frontier = [j for j, _ in new]
     raise AssertionError("tower did not stabilize")
+
+
+def apply_to(field, f):
+    """Directional derivative X(f) of a scalar function."""
+    from rank2dist.kernel import RatFunc
+
+    out = RatFunc.from_const(field.chart.ring, 0)
+    for comp, var in zip(field.components, field.chart.coords):
+        if not comp.is_zero():
+            out = out + comp * f.diff(var)
+    return out
+
+
+def poisson(ct, f, g):
+    """{f, g} = sum_i (df/dp_i dg/dx_i - df/dx_i dg/dp_i) on the cotangent
+    chart `ct`, so that {p_i, x_j} = delta_ij and {h_X, h_Y} = h_[X,Y]."""
+    from rank2dist.kernel import RatFunc
+
+    if f.ring is not ct.ring or g.ring is not ct.ring:
+        raise ValueError("hamiltonians on a different cotangent chart")
+    out = RatFunc.from_const(ct.ring, 0)
+    for xi, pi in zip(ct.base.coords, ct.momenta):
+        fp, gx = f.diff(pi), g.diff(xi)
+        if not (fp.is_zero() or gx.is_zero()):
+            out = out + fp * gx
+        fx, gp = f.diff(xi), g.diff(pi)
+        if not (fx.is_zero() or gp.is_zero()):
+            out = out - fx * gp
+    return out
+
+
+def abstract_tanaka_replay(sym):
+    """Run the tanaka adapted-basis procedure inside an abstract symbol.
+
+    Returns the GradedSymbol the pointwise algorithm would produce for the
+    flat model of `sym`, using the same deterministic word order.  Used by
+    the flat-model round trip.
+    """
+    from rank2dist.distribution import _symbol_from_basis, _weak_levels
+
+    _, levels, _ = _weak_levels(sym.eval_word, lambda w: any(sym.eval_word(w)),
+                                range(sym.dims[0]), sym.total_dim,
+                                sym.total_dim)
+    return _symbol_from_basis(levels, sym.eval_word)

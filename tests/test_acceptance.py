@@ -18,6 +18,8 @@ from rank2dist.symplectic import (CotangentChart, char_field, class_at_point,
                                   pointwise_full_flag)
 from rank2dist.extremals import (endpoint_errors, integrate_char, nu_along)
 
+from oracles import poisson
+
 
 def origin(dist):
     return [Q(0)] * dist.chart.dim
@@ -223,7 +225,7 @@ def test_criterion_8_cross_validation():
 
     for _ in range(50):
         a, b = rand_field(), rand_field()
-        lhs = ct.poisson(ct.hamiltonian_of(a), ct.hamiltonian_of(b))
+        lhs = poisson(ct, ct.hamiltonian_of(a), ct.hamiltonian_of(b))
         rhs = ct.hamiltonian_of(lie_bracket(a, b))
         if lhs != rhs:
             report("8", False, "Poisson-Lie identity failed")

@@ -289,8 +289,15 @@ class TestErrors:
         (["trace", "--model", "monge", "--n", "6", "--T", "nan"], "--T"),
         (["analyze", "--model", "monge", "--n", "6", "--samples", "0"],
          "--samples"),
+        (["trace", "--model", "monge", "--n", "5", "--steps", "-5"],
+         "--steps"),
+        (["analyze", "--model", "monge", "--n", "5", "--prolong", "-1"],
+         "--prolong"),
+        (["analyze", "--model", "monge", "--n", "6", "--depth-cap", "-1"],
+         "--depth-cap"),
     ], ids=["bad-int", "unknown-flag", "unknown-command", "no-command",
-            "T-inf", "T-nan", "samples-0"])
+            "T-inf", "T-nan", "samples-0", "steps-negative",
+            "prolong-negative", "depth-cap-negative"])
     def test_argument_errors_are_input_errors(self, capsys, argv, named):
         # exit 2 is kept for geometric precondition failures
         assert main(argv) == 1
@@ -305,9 +312,10 @@ class TestErrors:
         assert exc.value.code == 0
         assert "--model" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("degree", ["65536", "-1"])
+    @pytest.mark.parametrize("degree", ["65536", "-1", "300"])
     def test_symmetry_degree_out_of_range(self, tmp_path, capsys, degree):
-        # the exponent guard runs before any monomial is enumerated
+        # the exponent guard and the bound on unknowns (degree 300: about
+        # 1.1e11 of them) run before any monomial is enumerated
         start = time.perf_counter()
         code, _ = run_cli(["symmetries", "--model", "monge", "--n", "5",
                            "--degree", degree], tmp_path)

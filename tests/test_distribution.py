@@ -3,16 +3,15 @@
 import pytest
 
 from rank2dist.distribution import (Distribution, GradedSymbol, InvalidSymbol,
-                                    abstract_tanaka_replay, cube_dim,
-                                    equiregular_check, is_goursat,
+                                    cube_dim, equiregular_check, is_goursat,
                                     strong_flag, tanaka_symbol, weak_flag)
 from rank2dist.errors import (DegenerateFrame, NonEquiregular,
                               NotBracketGenerating, SamplingFailure)
 from rank2dist.kernel import Q
 from rank2dist.models import cartan_jet, monge_model
 
-from oracles import cartan_jet_frame, monge_frame, strong_flag_dims, \
-    weak_flag_dims
+from oracles import abstract_tanaka_replay, cartan_jet_frame, monge_frame, \
+    strong_flag_dims, weak_flag_dims
 
 ORIGIN5 = [Q(0)] * 5
 

@@ -1,16 +1,15 @@
 """Characteristic-flow integration: residual monitoring, class traces along
 trajectories, corank reports, convergence order."""
 
+import hashlib
 import math
 
-import numpy as np
 import pytest
 
-from rank2dist.extremals import (CorankReport, compile_field, compile_scalar,
-                                 corank_report, endpoint_errors,
-                                 integrate_char, nu_along)
-from rank2dist.kernel import Q
-from rank2dist.models import monge_model
+from rank2dist.extremals import (CorankReport, compile_floats, corank_report,
+                                 endpoint_errors, integrate_char, nu_along)
+from rank2dist.kernel import Poly, PolyRing, Q, RatFunc
+from rank2dist.models import build_model, monge_model
 from rank2dist.symplectic import char_field, fiber_sample, hamiltonians
 
 
@@ -22,25 +21,39 @@ class TestCompile:
     def test_scalar(self):
         dist = monge_model(5)
         ct, hs = hamiltonians(dist)
-        f = compile_scalar(hs[0])
-        state = np.arange(1.0, 11.0)
+        f = compile_floats([hs[0]])
+        state = [float(i) for i in range(1, 11)]
         # h1 = p_x + y1 p_y0 + y2 p_y1 + y2^2 p_z
         x, y0, y1, y2, z, px, py0, py1, py2, pz = state
-        assert f(state) == pytest.approx(px + y1 * py0 + y2 * py1
-                                         + y2 ** 2 * pz)
+        assert f(state) == [pytest.approx(px + y1 * py0 + y2 * py1
+                                          + y2 ** 2 * pz)]
 
     def test_field(self):
         dist = monge_model(5)
         ct, xc = char_field(dist)
-        ev = compile_field(xc)
+        ev = compile_floats(xc.components)
         # cross-check against exact evaluation at a rational point
-        # (NB: never call mpq.limit_denominator on numpy-derived values;
-        # gmpy2 2.3.1 corrupts its small-object cache)
         rat = [Q(i + 1, 10) for i in range(10)]
         exact = xc.at(rat)
-        got2 = ev(np.array([float(v) for v in rat]))
+        got2 = ev([float(v) for v in rat])
+        assert len(got2) == len(exact)
         for a, b in zip(got2, exact):
             assert a == pytest.approx(float(b), abs=1e-12)
+
+    def test_many_terms(self):
+        # one statement per term: a single 5000-term expression overflows
+        # the compiler's recursion limit
+        ring = PolyRing(("x", "y", "z"))
+        num = Poly(ring, {ring.encode([i % 20, i // 20 % 20, i // 400]):
+                          Q(i + 1, 7) for i in range(5200)})
+        den = Poly(ring, {ring.encode([1, 0, 0]): Q(1),
+                          ring.encode([0, 0, 0]): Q(2)})
+        rfs = [RatFunc(num, den), RatFunc(num, ring.const(3))]
+        assert len(num.terms) >= 5000
+        point = [Q(1, 2), Q(2, 3), Q(3, 4)]
+        got = compile_floats(rfs)([float(v) for v in point])
+        assert got == [pytest.approx(float(rf.eval(point)), rel=1e-12)
+                       for rf in rfs]
 
 
 class TestIntegrate:
@@ -66,8 +79,23 @@ class TestIntegrate:
         from rank2dist.symplectic import CovectorSample
         end = fwd.states[-1]
         back = _flow_from_state(dist, end, -0.05, 400)
-        start = np.array(s.point, dtype=float)
-        assert np.max(np.abs(np.array(back[-1]) - start)) <= 1e-6
+        start = [float(v) for v in s.point]
+        assert max(abs(a - b) for a, b in zip(back[-1], start)) <= 1e-6
+
+    @pytest.mark.parametrize("name, digest", [
+        ("monge n=6",
+         "259d05f195ccbdcfb23d16171c916f115d23487890df23bc2b035919bace704f"),
+        ("free-flat step 4",
+         "a348c5517cf1a6b41ee4c23bbffc2380dc3b01b9cb0aac80f00dafd2d00f98aa"),
+    ])
+    def test_float_bits_pinned(self, name, digest):
+        # the bits of the numpy RK4 this integrator replaced
+        dist = (monge_model(6) if name == "monge n=6" else
+                build_model("free-flat", step=4).distribution)
+        t = integrate_char(dist, fiber_sample(dist, origin(dist), seed=1),
+                           0.25, 600)
+        text = repr((t.states, t.h_residuals, t.h45_floor))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_json_round_trip(self, tmp_path):
         import json
@@ -83,17 +111,18 @@ class TestIntegrate:
 def _flow_from_state(dist, state, T, steps):
     """Plain RK4 re-run from a float state (helper for reversal test)."""
     _, xc = char_field(dist)
-    rhs = compile_field(xc)
-    x = np.array(state, dtype=float)
-    out = [x.tolist()]
+    rhs = compile_floats(xc.components)
+    x = [float(v) for v in state]
+    out = [x]
     h = T / steps
     for _ in range(steps):
         k1 = rhs(x)
-        k2 = rhs(x + 0.5 * h * k1)
-        k3 = rhs(x + 0.5 * h * k2)
-        k4 = rhs(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out.append(x.tolist())
+        k2 = rhs([a + 0.5 * h * b for a, b in zip(x, k1)])
+        k3 = rhs([a + 0.5 * h * b for a, b in zip(x, k2)])
+        k4 = rhs([a + h * b for a, b in zip(x, k3)])
+        x = [a + (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+        out.append(x)
     return out
 
 

@@ -1,13 +1,14 @@
 """Source hygiene checks that stand in for a linter: no unused imports in the
-package, packed-monomial bit access only inside the kernel, no float linear
-algebra (ranks are decided exactly), no symbolic brackets in the class
-tower, no `assert` statements (they vanish under `python -O`;
-invariants raise errors), and every function the perfbench tracer wraps
-still exists."""
+package, no imports beyond the standard library and gmpy2, packed-monomial
+bit access only inside the kernel, no float linear algebra (ranks are
+decided exactly), no symbolic brackets in the class tower, no `assert`
+statements (they vanish under `python -O`; invariants raise errors), and
+every function the perfbench tracer wraps still exists."""
 
 import ast
 import importlib
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,35 @@ def _unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def _foreign_imports(path):
+    """(file, line, module) of absolute imports outside the standard
+    library and gmpy2."""
+    allowed = set(sys.stdlib_module_names) | {"gmpy2"}
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        hits += [(path.name, node.lineno, m) for m in modules
+                 if m.split(".")[0] not in allowed]
+    return hits
+
+
+def test_src_imports_stdlib_and_gmpy2_only():
+    assert [hit for path in SOURCES for hit in _foreign_imports(path)] == []
+
+
+def test_import_check_sees_a_foreign_module(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("import os\nimport numpy as np\nfrom . import kernel\n"
+                   "from sympy.core import S\nimport gmpy2\n")
+    assert _foreign_imports(src) == [("mod.py", 2, "numpy"),
+                                     ("mod.py", 4, "sympy.core")]
 
 
 @pytest.mark.parametrize("path", OUTSIDE_KERNEL, ids=lambda p: p.name)
