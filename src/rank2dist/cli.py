@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import re
@@ -294,26 +295,69 @@ def build_parser():
     return p
 
 
+@functools.cache
+def _encoder(level):
+    """The C-backed encoder for scalars, and for lists of scalars whose
+    items sit at nesting depth level + 1."""
+    return json.JSONEncoder(separators=(",\n" + "  " * (level + 1), ": "))
+
+
+def write_json(obj, write, level=0):
+    """Write obj in pieces through `write`, exactly as
+    json.dumps(obj, indent=2, sort_keys=True) spells it.
+
+    Nonempty dicts (str keys only) and lists that hold a container are laid
+    out here; every scalar, empty container and list of scalars is spelled
+    by the C encoder, with the indented item separator of its depth."""
+    inner = "\n" + "  " * (level + 1)
+    if isinstance(obj, dict) and obj:
+        enc = _encoder(level)
+        sep = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError("keys must be str, not %s"
+                                % type(key).__name__)
+            write(sep + enc.encode(key) + ": ")
+            write_json(obj[key], write, level + 1)
+            sep = "," + inner
+        write("\n" + "  " * level + "}")
+    elif isinstance(obj, (list, tuple)) and any(
+            isinstance(item, (list, tuple, dict)) for item in obj):
+        sep = "[" + inner
+        for item in obj:
+            write(sep)
+            write_json(item, write, level + 1)
+            sep = "," + inner
+        write("\n" + "  " * level + "]")
+    else:
+        text = _encoder(level).encode(obj)
+        if isinstance(obj, (list, tuple)) and obj:
+            text = "[" + inner + text[1:-1] + "\n" + "  " * level + "]"
+        write(text)
+
+
 def emit(report, args):
-    text = json.dumps(report, indent=2, sort_keys=True)
+    """Stream the report, with a final newline, to --out or stdout."""
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+            write_json(report, fh.write)
+            fh.write("\n")
     else:
-        print(text)
+        write_json(report, sys.stdout.write)
+        sys.stdout.write("\n")
 
 
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         report = args.func(args)
+        emit(report, args)
     except (PreconditionError, PoleError) as e:
         print("precondition failed: %s" % e, file=sys.stderr)
         return EXIT_PRECONDITION
     except (ExpressionError, ValueError, OverflowError, OSError) as e:
         print("input error: %s" % e, file=sys.stderr)
         return EXIT_INPUT
-    emit(report, args)
     return EXIT_OK
 
 

@@ -1,18 +1,19 @@
 """Numeric integration of the characteristic field and the class along
 trajectories, with the corank bound for regular abnormal extremals.
 
-Floats are confined to the integrator: RK4 on plain lists, with X_C and
-h1..h5 compiled into straight-line float functions.  No rank is decided in
-floats.  The class at a recorded state is exact: the state's coordinates
-are read as exact binary rationals and the momentum is projected exactly
-onto the annihilator of D^2, so nu_trace[k] is the exact class at the
-rational covector derived from recorded state k, not at the float point
-itself.
+Floats are confined to the integrator: one generated straight-line
+function does a whole RK4 step of X_C on plain lists and evaluates h1..h5
+at the new state.  No rank is decided in floats.  The class at a recorded
+state is exact: the state's coordinates are read as exact binary rationals
+and the momentum is projected exactly onto the annihilator of D^2, so
+nu_trace[k] is the exact class at the rational covector derived from
+recorded state k, not at the float point itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 from .errors import PreconditionError
 from .kernel import as_q
@@ -23,34 +24,73 @@ from .symplectic import (char_field, class_at_sample, hamiltonians,
 _H45_FLOOR = 1e-9
 
 
-def compile_floats(rfs):
-    """Compile rational functions into one straight-line function that maps
-    a state list to the list of their float values.
+def _emit_values(lines, rfs, arg, out):
+    """Append statements that set the variable named `out % j` to the float
+    value of rfs[j] at the variables named `arg % i`.
 
     Each polynomial is summed from 0.0 one term at a time, in `terms` order,
     with one statement per term (one long expression overflows the
-    compiler's recursion limit).  The generated source holds only float
-    literals, indices and exponents."""
-    lines = ["def values(s):"]
-
+    compiler's recursion limit).  The statements hold only float literals,
+    variable names and exponents."""
     def poly(name, p):
         lines.append("    %s = 0.0" % name)
         for k, c in p.terms.items():
             lines.append("    %s += %r" % (name, float(c)) + "".join(
-                " * s[%d] ** %d" % (i, e) if e > 1 else " * s[%d]" % i
+                " * %s ** %d" % (arg % i, e) if e > 1 else " * " + arg % i
                 for i, e in enumerate(p.ring.decode(k)) if e))
 
     for j, rf in enumerate(rfs):
-        poly("v%d" % j, rf.num)
+        poly(out % j, rf.num)
         # a constant denominator is 1 (RatFunc keeps denominators monic)
         if not rf.den.is_const():
             poly("d", rf.den)
-            lines.append("    v%d /= d" % j)
-    lines.append("    return [%s]" % ", ".join("v%d" % j
-                                             for j in range(len(rfs))))
-    namespace = {}
+            lines.append("    %s /= d" % (out % j))
+
+
+def _define(lines, name, **constants):
+    """Execute generated source and return its function `name`; the
+    constants are its globals."""
+    namespace = dict(constants)
     exec("\n".join(lines), namespace)
-    return namespace["values"]
+    return namespace[name]
+
+
+def _names(fmt, count):
+    return ", ".join(fmt % i for i in range(count))
+
+
+def compile_floats(rfs):
+    """Compile rational functions into one straight-line function that maps
+    a state list to the list of their float values."""
+    lines = ["def values(s):"]
+    _emit_values(lines, rfs, "s[%d]", "v%d")
+    lines.append("    return [%s]" % _names("v%d", len(rfs)))
+    return _define(lines, "values")
+
+
+def _compile_rk4_step(field, hs, h):
+    """Compile one classical RK4 step of size h for the field with these
+    components, followed by h1..h5 = hs at the new state, into one
+    straight-line function on local variables.
+
+    The function maps a state list s to (next state list,
+    max(|h1|, |h2|, |h3|), |h4| + |h5|).  The field is evaluated four times
+    inline.  The stage grouping `s + half*k` and
+    `s + sixth*(((k1 + 2*k2) + 2*k3) + k4)` keeps the float bits of earlier
+    reports."""
+    dim = len(field)
+    lines = ["def step(s):", "    %s, = s" % _names("s%d", dim)]
+    _emit_values(lines, field, "s%d", "k1_%d")
+    for k, scale in ((2, "half"), (3, "half"), (4, "h")):
+        lines += ["    y%d = s%d + %s * k%d_%d" % (i, i, scale, k - 1, i)
+                  for i in range(dim)]
+        _emit_values(lines, field, "y%d", "k%d_%%d" % k)
+    lines += ["    n%d = s%d + sixth * (((k1_%d + 2 * k2_%d) + 2 * k3_%d) "
+              "+ k4_%d)" % ((i,) * 6) for i in range(dim)]
+    _emit_values(lines, hs, "n%d", "v%d")
+    lines.append("    return [%s], max(abs(v0), abs(v1), abs(v2)), "
+                 "abs(v3) + abs(v4)" % _names("n%d", dim))
+    return _define(lines, "step", h=h, half=0.5 * h, sixth=h / 6.0)
 
 
 @dataclass
@@ -69,20 +109,21 @@ def integrate_char(dist, sample, T, steps, residual_tol=1e-6):
     """Fixed-step RK4 flow of the characteristic field from a covector
     sample.  Residuals of the defining functions h1, h2, h3 are monitored
     without projection; the run halts early if they exceed residual_tol or
-    the state approaches the annihilator of D^3 (|h4|+|h5| floor).
+    the state approaches the annihilator of D^3 (|h4|+|h5| floor).  It also
+    halts, without recording the step, when a step leaves the range of
+    floats: a non-finite state, residual or floor, or an OverflowError.
 
     The characteristic direction is only a line field; trajectories are
     meaningful as unparametrized curves.
     """
     _, xc = char_field(dist)
-    rhs = compile_floats(xc.components)
     _, hs = hamiltonians(dist)
-    h_values = compile_floats(hs)
     s = [float(v) for v in sample.point]
-    if not any(rhs(s)):
+    values = compile_floats(xc.components + hs)(s)
+    if not any(values[:len(s)]):
         raise PreconditionError("characteristic field vanishes at the "
                                 "initial covector")
-    hv = h_values(s)
+    hv = values[len(s):]
     floor0 = abs(hv[3]) + abs(hv[4])
     if floor0 <= _H45_FLOOR:
         raise PreconditionError("initial covector too close to the "
@@ -92,18 +133,17 @@ def integrate_char(dist, sample, T, steps, residual_tol=1e-6):
     if steps == 0 or T == 0:
         return traj
     h = T / steps
-    # this operation grouping keeps the float bits of earlier reports
-    half, sixth = 0.5 * h, h / 6.0
+    step = _compile_rk4_step(xc.components, hs, h)
     for k in range(steps):
-        k1 = rhs(s)
-        k2 = rhs([a + half * b for a, b in zip(s, k1)])
-        k3 = rhs([a + half * b for a, b in zip(s, k2)])
-        k4 = rhs([a + h * b for a, b in zip(s, k3)])
-        s = [a + sixth * (((b1 + 2 * b2) + 2 * b3) + b4)
-             for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4)]
-        hv = h_values(s)
-        r = max(map(abs, hv[:3]))
-        f45 = abs(hv[3]) + abs(hv[4])
+        try:
+            s, r, f45 = step(s)
+            finite = isfinite(r) and isfinite(f45) and all(map(isfinite, s))
+        except OverflowError:
+            finite = False
+        if not finite:
+            traj.halted = True
+            traj.halt_reason = "float overflow at step %d" % (k + 1)
+            break
         times.append((k + 1) * h)
         states.append(s)
         res.append(r)

@@ -5,7 +5,9 @@ textbook formulas with no shared code with the package under test.  The
 exceptions, at the end, run on the package's own exact objects:
 `symbolic_class_tower` replays the class tower with symbolic Lie brackets,
 the path that flow series replaced; `apply_to`, `poisson` and
-`abstract_tanaka_replay` are exact calculus that only tests call.
+`abstract_tanaka_replay` are exact calculus that only tests call;
+`rk4_on_lists` is the per-stage list RK4 loop that the generated RK4 step
+replaced.
 """
 
 import itertools
@@ -289,3 +291,35 @@ def abstract_tanaka_replay(sym):
                                 range(sym.dims[0]), sym.total_dim,
                                 sym.total_dim)
     return _symbol_from_basis(levels, sym.eval_word)
+
+
+def rk4_on_lists(dist, state, T, steps, residual_tol=1e-6):
+    """(states, h_residuals, h45_floor) of fixed-step RK4 of the
+    characteristic field from a float state, one list comprehension per
+    stage, with the residual and |h4| + |h5| floor halts of
+    `integrate_char` and no precondition checks."""
+    from rank2dist.extremals import compile_floats
+    from rank2dist.symplectic import char_field, hamiltonians
+
+    rhs = compile_floats(char_field(dist)[1].components)
+    h_values = compile_floats(hamiltonians(dist)[1])
+    s = [float(v) for v in state]
+    hv = h_values(s)
+    states, res, floor = [s], [max(map(abs, hv[:3]))], [abs(hv[3]) +
+                                                        abs(hv[4])]
+    h = T / steps
+    half, sixth = 0.5 * h, h / 6.0
+    for _ in range(steps):
+        k1 = rhs(s)
+        k2 = rhs([a + half * b for a, b in zip(s, k1)])
+        k3 = rhs([a + half * b for a, b in zip(s, k2)])
+        k4 = rhs([a + h * b for a, b in zip(s, k3)])
+        s = [a + sixth * (((b1 + 2 * b2) + 2 * b3) + b4)
+             for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4)]
+        hv = h_values(s)
+        states.append(s)
+        res.append(max(map(abs, hv[:3])))
+        floor.append(abs(hv[3]) + abs(hv[4]))
+        if res[-1] > residual_tol or floor[-1] <= 1e-9:
+            break
+    return states, res, floor

@@ -1,14 +1,17 @@
 """CLI: subcommands, exit codes, deterministic JSON, schema validation."""
 
+import hashlib
 import json
+import math
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from rank2dist.cli import main
+from rank2dist.cli import main, write_json
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "src" / "rank2dist" / "schema" /
@@ -110,6 +113,37 @@ class TestTrace:
         assert code == 0
         n = int(args[1])
         assert rep["nu_trace"] == [n - 3] * len(rep["nu_trace"])
+        validate(rep)
+
+    def test_report_bytes_pinned(self, tmp_path):
+        # the bytes written before the RK4 step was generated and the report
+        # streamed
+        out = tmp_path / "trace.json"
+        assert main(["trace", "--model", "monge", "--n", "7", "--seed", "5",
+                     "--T", "0.25", "--steps", "2000", "--out",
+                     str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "2066eab61cdc59092579f46e7d70b0aee255e8c0f88c25d2bc840cfd72ef64bf")
+
+    @pytest.mark.parametrize("args", [
+        ["--model", "monge", "--n", "6", "--T", "1e80"],
+        ["--model", "free-flat", "--step", "4", "--T", "1e45"],
+        ["--model", "monge", "--n", "6", "--T", "1e65"],
+    ], ids=["monge-pow-overflow", "free-flat-pow-overflow",
+            "monge-infinite-state"])
+    def test_float_overflow_halts_the_trace(self, args, tmp_path):
+        # ** raised OverflowError, or an infinite state was recorded
+        code, _ = run_cli(["trace"] + args + ["--steps", "1"], tmp_path)
+        assert code == 0
+
+        def reject(name):
+            raise ValueError("non-finite %s in the report" % name)
+
+        rep = json.loads((tmp_path / "out.json").read_text(),
+                         parse_constant=reject)
+        assert rep["halted"] is True
+        assert rep["halt_reason"] == "float overflow at step 1"
+        assert len(rep["states"]) == 1
         validate(rep)
 
     def test_trace_needs_cube5(self, tmp_path, capsys):
@@ -325,6 +359,16 @@ class TestErrors:
         assert err.startswith("input error:")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_out_is_an_input_error(self, tmp_path, capsys, where):
+        out = tmp_path / "nothere" / "x.json" if where == "missing-directory" \
+            else tmp_path
+        assert main(["analyze", "--model", "monge", "--n", "5", "--out",
+                     str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert len(err.strip().splitlines()) == 1
+
     def test_missing_file(self, tmp_path):
         code, _ = run_cli(["analyze", "--input",
                            str(tmp_path / "nothere.json")], tmp_path)
@@ -363,6 +407,24 @@ class TestErrors:
         }))
         code, _ = run_cli(["analyze", "--input", str(p)], tmp_path)
         assert code == 2
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() |
+            st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                             1e308]) | st.text())
+_JSON = st.recursive(_SCALARS, lambda kids: (
+    st.lists(kids) | st.lists(kids).map(tuple) |
+    st.dictionaries(st.text(), kids)), max_leaves=30)
+
+
+@given(_JSON)
+@example([1, [], {}, (), "\u00e9\x00\n\"", -0.0,
+          [5e-324, 1e308, math.nan, math.inf, -math.inf, True, None]])
+@example({"b": ({"c": [[1.5], "x"]},), "a": {}, "\x7f": [[]]})
+def test_writer_spells_reports_like_json_dumps(obj):
+    chunks = []
+    write_json(obj, chunks.append)
+    assert "".join(chunks) == json.dumps(obj, indent=2, sort_keys=True)
 
 
 def test_console_script_entry_point():

@@ -2,12 +2,16 @@
 trajectories, corank reports, convergence order."""
 
 import hashlib
-import math
+import random
+from fractions import Fraction
 
 import pytest
 
+from oracles import rk4_on_lists
+from rank2dist.distribution import Distribution
 from rank2dist.extremals import (CorankReport, compile_floats, corank_report,
                                  endpoint_errors, integrate_char, nu_along)
+from rank2dist.geometry import Chart
 from rank2dist.kernel import Poly, PolyRing, Q, RatFunc
 from rank2dist.models import build_model, monge_model
 from rank2dist.symplectic import char_field, fiber_sample, hamiltonians
@@ -56,6 +60,42 @@ class TestCompile:
                        for rf in rfs]
 
 
+def _frame(coords, first, second):
+    chart = Chart(coords)
+    return Distribution(chart, [chart.field(*first), chart.field(*second)])
+
+
+def _monge(m, rhs):
+    """Frame of z' = rhs in coordinates x, y0..ym, z."""
+    ys = ["y%d" % i for i in range(m + 1)]
+    return _frame(["x"] + ys + ["z"], ["1"] + ys[1:] + ["0", rhs],
+                  ["0"] * (m + 1) + ["1", "0"])
+
+
+def _random_monge(seed, m):
+    rng = random.Random(seed)
+    low = ["x"] + ["y%d" % i for i in range(m)]
+    c = [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+         for _ in range(3)]
+    return _monge(m, "y%d^2 + (%s)*y%d*%s + (%s)*%s*%s^2 + (%s)*%s^3" % (
+        m, c[0], m, rng.choice(low), c[1], rng.choice(low), rng.choice(low),
+        c[2], rng.choice(low)))
+
+
+# name -> (distribution, T, steps, residual_tol)
+_BIT_CASES = {
+    **{"monge n=%d" % n: (lambda n=n: (monge_model(n), 0.25, 300, 1e-6))
+       for n in range(6, 11)},
+    **{"free-flat step %d" % k: (lambda k=k: (
+        build_model("free-flat", step=k).distribution, 0.25, 200, 1e-6))
+       for k in (4, 5)},
+    "random monge n=7": lambda: (_random_monge(5, 4), 0.25, 300, 1e-6),
+    "z'=y2^2/(1+y0)": lambda: (_monge(2, "y2^2/(1+y0)"), 0.5, 300, 1e-6),
+    "z'=y3^2/(1+x)": lambda: (_monge(3, "y3^2/(1+x)"), 0.5, 300, 1e-6),
+    "residual halt": lambda: (monge_model(6), 0.25, 300, 1e-15),
+}
+
+
 class TestIntegrate:
     def test_zero_steps(self):
         dist = monge_model(5)
@@ -76,9 +116,7 @@ class TestIntegrate:
         s = fiber_sample(dist, origin(dist))
         fwd = integrate_char(dist, s, 0.05, 400)
         # integrate back from the endpoint
-        from rank2dist.symplectic import CovectorSample
-        end = fwd.states[-1]
-        back = _flow_from_state(dist, end, -0.05, 400)
+        back, _, _ = rk4_on_lists(dist, fwd.states[-1], -0.05, 400)
         start = [float(v) for v in s.point]
         assert max(abs(a - b) for a, b in zip(back[-1], start)) <= 1e-6
 
@@ -97,6 +135,29 @@ class TestIntegrate:
         text = repr((t.states, t.h_residuals, t.h45_floor))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("name", sorted(_BIT_CASES))
+    def test_generated_step_matches_list_rk4(self, name):
+        # same terms, sum order and grouping as the per-stage loop: the
+        # float bits agree exactly
+        dist, T, steps, tol = _BIT_CASES[name]()
+        s = fiber_sample(dist, origin(dist), seed=1)
+        t = integrate_char(dist, s, T, steps, residual_tol=tol)
+        ref = rk4_on_lists(dist, s.point, T, steps, residual_tol=tol)
+        got = (t.states, t.h_residuals, t.h45_floor)
+        # one flag per field: a diff of the long reprs would take minutes
+        assert [repr(a) == repr(b) for a, b in zip(got, ref)] == [True] * 3
+        if tol < 1e-6:
+            assert t.halted and t.halt_reason.startswith("h-residual")
+            assert len(t.states) < steps + 1
+
+    def test_rational_frames_divide(self):
+        # the generated step of the rational frames divides by a
+        # non-constant denominator
+        for name in ("z'=y2^2/(1+y0)", "z'=y3^2/(1+x)"):
+            dist = _BIT_CASES[name]()[0]
+            _, xc = char_field(dist)
+            assert any(not c.den.is_const() for c in xc.components)
+
     def test_json_round_trip(self, tmp_path):
         import json
         from rank2dist.cli import main
@@ -106,24 +167,6 @@ class TestIntegrate:
         again = json.loads(out.read_text())
         assert again["times"][-1] == pytest.approx(0.01)
         assert len(again["states"]) == 11
-
-
-def _flow_from_state(dist, state, T, steps):
-    """Plain RK4 re-run from a float state (helper for reversal test)."""
-    _, xc = char_field(dist)
-    rhs = compile_floats(xc.components)
-    x = [float(v) for v in state]
-    out = [x]
-    h = T / steps
-    for _ in range(steps):
-        k1 = rhs(x)
-        k2 = rhs([a + 0.5 * h * b for a, b in zip(x, k1)])
-        k3 = rhs([a + 0.5 * h * b for a, b in zip(x, k2)])
-        k4 = rhs([a + h * b for a, b in zip(x, k3)])
-        x = [a + (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
-             for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
-        out.append(x)
-    return out
 
 
 class TestNuAlong:

@@ -2,8 +2,9 @@
 package, no imports beyond the standard library and gmpy2, packed-monomial
 bit access only inside the kernel, no float linear algebra (ranks are
 decided exactly), no symbolic brackets in the class tower, no `assert`
-statements (they vanish under `python -O`; invariants raise errors), and
-every function the perfbench tracer wraps still exists."""
+statements (they vanish under `python -O`; invariants raise errors), JSON
+written only by the report writer, and every function the perfbench tracer
+wraps still exists."""
 
 import ast
 import importlib
@@ -118,6 +119,44 @@ def _word_field_evaluations(path):
 def test_word_values_come_from_the_memo():
     assert [hit for path in SOURCES
             for hit in _word_field_evaluations(path)] == []
+
+
+# the report writer and its encoder cache
+_WRITER = {"write_json", "_encoder"}
+_JSON_WRITERS = {"dump", "dumps", "JSONEncoder"}
+
+
+def _json_writes(path):
+    """(file, line) of each use of json.dump, json.dumps or
+    json.JSONEncoder outside the report writer."""
+    tree = ast.parse(path.read_text())
+    home = {id(n) for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef) and f.name in _WRITER
+            for n in ast.walk(f)}
+    hits = []
+    for node in ast.walk(tree):
+        if id(node) in home:
+            continue
+        if (isinstance(node, ast.Attribute) and node.attr in _JSON_WRITERS
+                and getattr(node.value, "id", None) == "json"):
+            hits.append((path.name, node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            hits += [(path.name, node.lineno) for a in node.names
+                     if a.name in _JSON_WRITERS]
+    return hits
+
+
+def test_json_is_written_only_by_the_report_writer():
+    assert [hit for path in SOURCES for hit in _json_writes(path)] == []
+
+
+def test_json_write_check_sees_a_dumps_call(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("import json\nfrom json import dump\n"
+                   "def write_json(o):\n    return json.dumps(o)\n"
+                   "def other(o):\n    return json.dumps(o)\n"
+                   "json.loads('1')\n")
+    assert _json_writes(src) == [("mod.py", 2), ("mod.py", 6)]
 
 
 def _names(path):
