@@ -216,6 +216,7 @@ def cmd_symmetries(args):
         "dim": basis.dim,
         "stabilized": basis.stabilized,
         "stable_degree": basis.stable_degree,
+        "certified": basis.certified,
         "weights": basis.weights,
         "basis": _basis_str(basis.basis),
     }

@@ -111,7 +111,9 @@ def integrate_char(dist, sample, T, steps, residual_tol=1e-6):
     without projection; the run halts early if they exceed residual_tol or
     the state approaches the annihilator of D^3 (|h4|+|h5| floor).  It also
     halts, without recording the step, when a step leaves the range of
-    floats: a non-finite state, residual or floor, or an OverflowError.
+    floats (a non-finite state, residual or floor, or an OverflowError) or
+    divides by a float zero.  A float zero denominator at the start state
+    is a PreconditionError.
 
     The characteristic direction is only a line field; trajectories are
     meaningful as unparametrized curves.
@@ -119,7 +121,11 @@ def integrate_char(dist, sample, T, steps, residual_tol=1e-6):
     _, xc = char_field(dist)
     _, hs = hamiltonians(dist)
     s = [float(v) for v in sample.point]
-    values = compile_floats(xc.components + hs)(s)
+    try:
+        values = compile_floats(xc.components + hs)(s)
+    except ZeroDivisionError:
+        raise PreconditionError("float division by zero at the initial "
+                                "covector")
     if not any(values[:len(s)]):
         raise PreconditionError("characteristic field vanishes at the "
                                 "initial covector")
@@ -135,14 +141,17 @@ def integrate_char(dist, sample, T, steps, residual_tol=1e-6):
     h = T / steps
     step = _compile_rk4_step(xc.components, hs, h)
     for k in range(steps):
+        fault = "float overflow"
         try:
             s, r, f45 = step(s)
             finite = isfinite(r) and isfinite(f45) and all(map(isfinite, s))
         except OverflowError:
             finite = False
+        except ZeroDivisionError:
+            finite, fault = False, "float division by zero"
         if not finite:
             traj.halted = True
-            traj.halt_reason = "float overflow at step %d" % (k + 1)
+            traj.halt_reason = "%s at step %d" % (fault, k + 1)
             break
         times.append((k + 1) * h)
         states.append(s)

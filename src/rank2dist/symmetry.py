@@ -9,6 +9,9 @@ When the frame is homogeneous for some positive coordinate weights
 (detected automatically), the system splits into independent blocks by
 weight, which keeps the exact elimination small.  Total-degree truncation
 commutes with the weight split, so blockwise and monolithic answers agree.
+Every weight block is finite without a degree bound, and
+`stabilized_symmetry_basis` solves whole blocks until an empty one
+certifies the algebra complete.
 """
 
 from __future__ import annotations
@@ -17,16 +20,18 @@ import itertools
 from dataclasses import dataclass
 from math import comb, lcm
 
-from .errors import PreconditionError
-from .kernel import (MAX_EXPONENT, Poly, Q, QEchelon, RatFunc, add_product,
-                     q_coordinates, q_nullspace, q_sparse_nullspace,
-                     rf_nullspace)
+from .errors import DegenerateFrame, PreconditionError
+from .kernel import (MAX_EXPONENT, PoleError, Poly, Q, QEchelon, RatFunc,
+                     add_product, q_coordinates, q_nullspace,
+                     q_sparse_nullspace, rf_nullspace)
 from .geometry import OneForm, VectorField, lie_bracket, pair
-from .distribution import per_distribution, structure_bracket
+from .distribution import (Distribution, per_distribution, structure_bracket,
+                           weak_flag)
 
-# the largest degree bound stabilized_symmetry_basis tries
+# the largest degree bound the fallback of stabilized_symmetry_basis tries
 MAX_SYMMETRY_DEGREE = 8
-# symmetry_basis refuses systems with more monomial unknowns than this
+# symmetry_basis refuses systems, and stabilized_symmetry_basis weight
+# blocks, with more monomial unknowns than this
 MAX_SYMMETRY_UNKNOWNS = 10 ** 6
 
 
@@ -135,9 +140,49 @@ def _monomials_up_to(ring, d):
     return out
 
 
+def _monomials_of_weight(ring, weights, k):
+    """Packed monomials of weight exactly k (all weights >= 1), ordered as
+    in `_monomials_up_to`: by total degree, then in
+    combinations_with_replacement order."""
+    n = len(weights)
+    low = [min(weights[j:]) for j in range(n)]
+    high = [max(weights[j:]) for j in range(n)]
+
+    def combos(start, total, rest):
+        if total == 0:
+            yield ()
+            return
+        for j in range(start, n):
+            left = rest - weights[j]
+            if (total - 1) * low[j] <= left <= (total - 1) * high[j]:
+                for tail in combos(j, total - 1, left):
+                    yield (j,) + tail
+
+    out = []
+    for total in range(-(-k // max(weights)), k // min(weights) + 1):
+        for combo in combos(0, total, k):
+            exps = [0] * n
+            for i in combo:
+                exps[i] += 1
+            out.append(ring.encode(exps))
+    return out
+
+
+def _weight_counts(weights, top):
+    """counts[k] = number of monomials of weight exactly k, k <= top."""
+    counts = [1] + [0] * top
+    for w in weights:
+        for k in range(w, top + 1):
+            counts[k] += counts[k - w]
+    return counts
+
+
 @dataclass
 class SymmetryBasis:
-    """Exact basis of polynomial symmetry fields of total degree <= degree."""
+    """Exact basis of polynomial symmetry fields of total degree <= degree.
+
+    `certified` is True when the basis is provably the whole polynomial
+    symmetry algebra (the weight-block path of stabilized_symmetry_basis)."""
 
     degree: int
     basis: list                 # list of VectorField
@@ -145,6 +190,7 @@ class SymmetryBasis:
     stabilized: bool = False
     stable_degree: int = None
     weights: list = None
+    certified: bool = False
 
 
 def symmetry_basis(dist, d, weights="auto"):
@@ -164,7 +210,8 @@ def symmetry_basis(dist, d, weights="auto"):
     if weights is not None:
         forms = [h for f in forms for h in _split_form_by_weight(f, weights)]
     # the exponent guard runs before the monomials are enumerated
-    system = _SymmetrySystem(ring, _poly_components(dist.frame), forms, d)
+    system = _SymmetrySystem(ring, _poly_components(dist.frame), forms)
+    system.admit(d)
     count = n * comb(n + d, d)
     if count > MAX_SYMMETRY_UNKNOWNS:
         raise OverflowError("degree %d gives %d monomial unknowns, more than "
@@ -181,14 +228,7 @@ def symmetry_basis(dist, d, weights="auto"):
             blocks.setdefault(wt, []).append((key, i))
     fields = []
     for wt in sorted(blocks):
-        block = blocks[wt]
-        for sol in q_sparse_nullspace(system.rows(block), len(block)):
-            comps_terms = [dict() for _ in range(n)]
-            for col, c in sol.items():
-                key, i = block[col]
-                comps_terms[i][key] = c
-            comps = [RatFunc.from_poly(Poly(ring, t)) for t in comps_terms]
-            fields.append(VectorField(chart, comps))
+        fields += system.solve(chart, blocks[wt])
     return SymmetryBasis(degree=d, basis=fields, dim=len(fields),
                          weights=weights)
 
@@ -200,25 +240,23 @@ class _SymmetrySystem:
         <eta, [m d/dx_i, X_a]> = m P[a][j][i] - eta_i X_a(m),
         P[a][j][i] = sum_l eta_l d(X_a^l)/dx_i,
 
-    with the P table built once and X_a(m) once per monomial of degree at
-    most `degree`.  Each form and each frame field is first scaled to integer
-    coefficients, which scales each equation by a nonzero constant;
-    polynomials here are {packed monomial: int} dicts.
+    with the P table built once and X_a(m) once per monomial unknown.
+    Each form and each frame field is first scaled to integer coefficients,
+    which scales each equation by a nonzero constant; polynomials here are
+    {packed monomial: int} dicts.
 
     No product here may pass MAX_EXPONENT in any variable, since
     `add_product` does not check: an exponent of an equation is at most
-    one of a form plus one of the frame plus `degree`, checked here."""
+    one of a form plus one of the frame plus the degree of the unknown,
+    which `admit` checks before unknowns of that degree are used."""
 
-    def __init__(self, ring, frame_polys, forms, degree):
+    def __init__(self, ring, frame_polys, forms):
         self.ring = ring
         form_polys = [[c.num for c in f.components] for f in forms]
-        for i, v in enumerate(ring.names):
-            if (max((p.degree_in(i) for ps in form_polys for p in ps),
-                    default=0) +
-                    max(p.degree_in(i) for ps in frame_polys for p in ps) +
-                    degree > MAX_EXPONENT):
-                raise OverflowError("exponent of %s in the symmetry "
-                                    "equations exceeds %d" % (v, MAX_EXPONENT))
+        self._used = [max((p.degree_in(i) for ps in form_polys for p in ps),
+                          default=0) +
+                      max(p.degree_in(i) for ps in frame_polys for p in ps)
+                      for i in range(ring.n)]
         self.frame = [_integral(xp) for xp in frame_polys]
         self.etas = [_integral(ps) for ps in form_polys]
         self.table = []
@@ -229,6 +267,14 @@ class _SymmetrySystem:
                                 for i in range(ring.n)]
                                for eta in self.etas])
         self._applied = {}
+
+    def admit(self, degree):
+        """Raise OverflowError if unknowns of total degree `degree` could
+        carry an exponent of the equations past MAX_EXPONENT."""
+        for v, used in zip(self.ring.names, self._used):
+            if used + degree > MAX_EXPONENT:
+                raise OverflowError("exponent of %s in the symmetry "
+                                    "equations exceeds %d" % (v, MAX_EXPONENT))
 
     def _apply(self, a, key):
         """X_a(m) for the monomial m with packed exponents key."""
@@ -255,6 +301,21 @@ class _SymmetrySystem:
                         eqs.setdefault((fj, a, mk), {})[col] = c
         return list(eqs.values())
 
+    def solve(self, chart, unknowns):
+        """The canonical nullspace basis of the conditions over these
+        unknowns, as vector fields on the chart."""
+        n = self.ring.n
+        fields = []
+        for sol in q_sparse_nullspace(self.rows(unknowns), len(unknowns)):
+            comps_terms = [dict() for _ in range(n)]
+            for col, c in sol.items():
+                key, i = unknowns[col]
+                comps_terms[i][key] = c
+            comps = [RatFunc.from_poly(Poly(self.ring, t))
+                     for t in comps_terms]
+            fields.append(VectorField(chart, comps))
+        return fields
+
 
 def _integral(polys):
     """The polynomials scaled by one positive integer to integer
@@ -275,9 +336,19 @@ def _dot(ps, qs):
 
 
 def stabilized_symmetry_basis(dist):
-    """Increase the degree bound from 1 until two consecutive dims agree;
-    returns the basis at the first stable degree with stable_degree
-    recorded."""
+    """The polynomial symmetry algebra, certified where possible.
+
+    For a rank-2 frame with positive weights whose weak flag at the origin
+    (the weighted centre) has cube 5 and reaches n, the weight blocks are
+    solved once each (`_certified_basis`).  Otherwise, or when that path
+    finds no certificate, the degree bound rises from 1 until two
+    consecutive dims agree, and the basis at the first stable degree is
+    returned with stable_degree recorded and certified False.
+    """
+    if _weight_path_applies(dist):
+        out = _certified_basis(dist)
+        if out is not None:
+            return out
     prev = None
     for d in range(1, MAX_SYMMETRY_DEGREE + 1):
         cur = symmetry_basis(dist, d)
@@ -288,6 +359,83 @@ def stabilized_symmetry_basis(dist):
         prev = cur
     raise PreconditionError("symmetry dimension did not stabilize by "
                             "degree %d" % MAX_SYMMETRY_DEGREE)
+
+
+def _weight_path_applies(dist):
+    """True iff the frame is rank 2 and, at the origin, independent with
+    cube 5 and a weak flag that reaches n.  These open conditions make the
+    symmetry algebra finite-dimensional, so the weight blocks end."""
+    if dist.rank != 2:
+        return False
+    try:
+        flag = weak_flag(dist, [Q(0)] * dist.chart.dim)
+    except (PoleError, DegenerateFrame):
+        return False
+    return flag.cube == 5 and flag.dims[-1] == dist.chart.dim
+
+
+def _certified_basis(dist):
+    """All polynomial symmetries of a weighted frame, by weight block, with
+    a certificate that none are missing; None if the frame has no weights
+    or no certificate is found.
+
+    Block W holds every unknown m d/dx_i with weight(m) - w_i = W, with no
+    degree cap; it is finite because every weight is at least 1.  Blocks
+    are solved once each for W = -max(w), -max(w)+1, ..., with the columns
+    in `symmetry_basis` order, so the basis vectors are the ones that a
+    degree bound covering the block gives.
+
+    Certificate: the fields of block -1 must generate an algebra that is
+    transitive at the origin (their weak flag there reaches n); then the
+    first empty block W >= 0 ends the algebra.  Take a symmetry Y of weight
+    W+1.  For each R in block -1, [Y, R] is a symmetry of weight W, so it
+    is 0.  Then Y commutes with a transitive algebra, and Y vanishes at the
+    origin because its weight is positive; so Y vanishes near the origin
+    and, being polynomial, Y = 0.  By induction every block above W is
+    empty too.
+    """
+    chart = dist.chart
+    ring = chart.ring
+    n = chart.dim
+    # annihilator_forms before detect_weights, as in symmetry_basis, so a
+    # frame that fails both fails with the same error on either path
+    forms = annihilator_forms(dist)
+    weights = detect_weights(dist)
+    if weights is None:
+        return None
+    low, high = min(weights), max(weights)
+    forms = [h for f in forms for h in _split_form_by_weight(f, weights)]
+    system = _SymmetrySystem(ring, _poly_components(dist.frame), forms)
+    fields = []
+    wt = -high
+    while True:
+        counts = _weight_counts(weights, wt + high)
+        count = sum(counts[wt + w] for w in weights if wt + w >= 0)
+        if count > MAX_SYMMETRY_UNKNOWNS:
+            raise OverflowError("weight block %d has %d monomial unknowns, "
+                                "more than %d"
+                                % (wt, count, MAX_SYMMETRY_UNKNOWNS))
+        # the largest total degree of a monomial in this block
+        system.admit((wt + high) // low)
+        block = [(key, i) for i in range(n)
+                 for key in _monomials_of_weight(ring, weights,
+                                                 wt + weights[i])]
+        found = system.solve(chart, block)
+        if wt >= 0 and not found:
+            break
+        fields += found
+        if wt == -1:
+            try:
+                flag = weak_flag(Distribution(chart, found), [Q(0)] * n)
+            except DegenerateFrame:
+                return None
+            if flag.dims[-1] != n:
+                return None
+        wt += 1
+    degree = max(c.num.total_degree() for y in fields for c in y.components)
+    return SymmetryBasis(degree=degree, basis=fields, dim=len(fields),
+                         stabilized=True, stable_degree=degree,
+                         weights=weights, certified=True)
 
 
 def is_symmetry(dist, y):

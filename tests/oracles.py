@@ -7,7 +7,8 @@ exceptions, at the end, run on the package's own exact objects:
 the path that flow series replaced; `apply_to`, `poisson` and
 `abstract_tanaka_replay` are exact calculus that only tests call;
 `rk4_on_lists` is the per-stage list RK4 loop that the generated RK4 step
-replaced.
+replaced; `degree_loop_symmetry_basis` is the per-degree stabilization loop
+that the weight-block path replaced.
 """
 
 import itertools
@@ -323,3 +324,22 @@ def rk4_on_lists(dist, state, T, steps, residual_tol=1e-6):
         if res[-1] > residual_tol or floor[-1] <= 1e-9:
             break
     return states, res, floor
+
+
+def degree_loop_symmetry_basis(dist, max_degree=8):
+    """The degree-d symmetry basis at the first d where the dimensions at
+    d and d+1 agree (d = 1, 2, ...), with `stabilized` and `stable_degree`
+    set; each degree is solved from scratch by `symmetry_basis`."""
+    from rank2dist.errors import PreconditionError
+    from rank2dist.symmetry import symmetry_basis
+
+    prev = symmetry_basis(dist, 1)
+    for d in range(2, max_degree + 1):
+        cur = symmetry_basis(dist, d)
+        if cur.dim == prev.dim:
+            prev.stabilized = True
+            prev.stable_degree = prev.degree
+            return prev
+        prev = cur
+    raise PreconditionError("symmetry dimension did not stabilize by "
+                            "degree %d" % max_degree)

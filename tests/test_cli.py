@@ -146,6 +146,42 @@ class TestTrace:
         assert len(rep["states"]) == 1
         validate(rep)
 
+    def test_float_division_by_zero_halts_the_trace(self, tmp_path):
+        # z' = y2^2 + 1/x from x = 1 with x' = -8: the second RK4 stage of
+        # step 1 lands on x = 0.0 exactly, and 1/x divided by a float zero
+        p = tmp_path / "pole.json"
+        p.write_text(json.dumps({
+            "coordinates": ["x", "y0", "y1", "y2", "z"],
+            "fields": [["1", "y1", "y2", "0", "y2^2 + 1/x"],
+                       ["0", "0", "0", "1", "0"]],
+            "point": ["1", "0", "0", "1", "0"],
+        }))
+        code, rep = run_cli(["trace", "--input", str(p), "--T", "0.25",
+                             "--steps", "1"], tmp_path)
+        assert code == 0
+        assert rep["halted"] is True
+        assert rep["halt_reason"] == "float division by zero at step 1"
+        assert len(rep["states"]) == 1
+        validate(rep)
+
+    def test_float_zero_denominator_at_the_start(self, tmp_path, capsys):
+        # y0 = y1 = 10^-200 are exact nonzero rationals, but their squares
+        # are 0.0 in floats, so y0^2/(y0^2+y1^2) is 0.0/0.0 at the start
+        tiny = "0." + "0" * 199 + "1"
+        p = tmp_path / "underflow.json"
+        p.write_text(json.dumps({
+            "coordinates": ["x", "y0", "y1", "y2", "z"],
+            "fields": [["1", "y1", "y2", "0", "y2^2 + y0^2/(y0^2+y1^2)"],
+                       ["0", "0", "0", "1", "0"]],
+            "point": ["0", tiny, tiny, "1", "0"],
+        }))
+        code, _ = run_cli(["trace", "--input", str(p), "--T", "0.1",
+                           "--steps", "10"], tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("precondition failed:")
+        assert len(err.strip().splitlines()) == 1
+
     def test_trace_needs_cube5(self, tmp_path, capsys):
         code, rep = run_cli(["trace", "--model", "cartan-jet", "--k", "3"],
                             tmp_path)

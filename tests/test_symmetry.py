@@ -1,11 +1,19 @@
 """Polynomial infinitesimal symmetries: solver, stabilization, structure."""
 
+import functools
+import json
+import time
+
 import pytest
 
-from rank2dist.distribution import Distribution
+from rank2dist import symmetry
+from rank2dist.cli import _basis_str, main
+from rank2dist.distribution import Distribution, weak_flag
+from rank2dist.errors import PreconditionError
 from rank2dist.geometry import Chart, lie_bracket
 from rank2dist.kernel import Q, QEchelon
-from rank2dist.models import cartan_jet, monge_model
+from rank2dist.models import (build_model, cartan_jet, monge_model,
+                              prolong)
 from rank2dist.symmetry import (annihilator_forms, bracket_close_check,
                                 detect_weights, is_symmetry,
                                 nilradical_witness_dim, symmetry_basis,
@@ -13,7 +21,7 @@ from rank2dist.symmetry import (annihilator_forms, bracket_close_check,
                                 symmetry_structure_constants,
                                 vanishing_subspace_dim)
 
-from oracles import symmetry_dim_oracle
+from oracles import degree_loop_symmetry_basis, symmetry_dim_oracle
 
 
 class TestWeights:
@@ -168,3 +176,132 @@ class TestGoursatSymmetries:
         d3 = symmetry_basis(dist, 3).dim
         d4 = symmetry_basis(dist, 4).dim
         assert d4 > d3
+
+
+def _frame(coords, first):
+    ch = Chart(coords)
+    return Distribution(ch, [ch.field(*first),
+                             ch.coordinate_field(coords[-2])])
+
+
+# weighted inputs: flat Monge models, two of the benchmark's sign-flipped
+# flat Monge inputs, and the flat free models of step 3 and 4
+WEIGHTED = {
+    "monge5": lambda: monge_model(5),
+    "monge6": lambda: monge_model(6),
+    "monge7": lambda: monge_model(7),
+    "monge5-signs": lambda: _frame(("x", "y0", "y1", "y2", "z"),
+                                   ("1", "y1", "-y2", "0", "-y2^2")),
+    "monge6-signs": lambda: _frame(("x", "y0", "y1", "y2", "y3", "z"),
+                                   ("1", "y1", "-y2", "y3", "0", "-y3^2")),
+    "free-flat3": lambda: build_model("free-flat", step=3).distribution,
+    "free-flat4": lambda: build_model("free-flat", step=4).distribution,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _weighted(name):
+    dist = WEIGHTED[name]()
+    return dist, stabilized_symmetry_basis(dist)
+
+
+class TestWeightBlocks:
+    @pytest.mark.parametrize("name", sorted(WEIGHTED))
+    def test_equals_the_degree_loop(self, name):
+        dist, got = _weighted(name)
+        want = degree_loop_symmetry_basis(WEIGHTED[name]())
+        assert got.certified and got.stabilized
+        assert _basis_str(got.basis) == _basis_str(want.basis)
+        assert (got.dim, got.degree, got.stable_degree) == \
+            (want.dim, want.degree, want.stable_degree)
+        assert got.weights == want.weights
+
+    @pytest.mark.parametrize("name", sorted(WEIGHTED))
+    def test_doubrov_zelenko_bound(self, name):
+        # maximal class: dim sym <= 2n - 1 for n >= 6, and 14 (G2) at n = 5
+        dist, got = _weighted(name)
+        n = dist.chart.dim
+        assert weak_flag(dist, [Q(0)] * n).cube == 5
+        assert got.certified
+        assert got.dim <= (14 if n == 5 else 2 * n - 1)
+
+    def test_monge8_is_certified(self):
+        start = time.perf_counter()
+        got = stabilized_symmetry_basis(monge_model(8))
+        assert time.perf_counter() - start < 5
+        assert (got.dim, got.degree, got.certified) == (15, 9, True)
+        assert got.dim <= 2 * 8 - 1
+
+    @pytest.mark.parametrize("make", [
+        lambda: cartan_jet(3),
+        lambda: prolong(monge_model(5)),
+    ], ids=["cartan-jet3", "monge5-prolonged"])
+    def test_cube4_falls_back(self, make):
+        # weighted, but cube 4 at the origin: the degree loop answers
+        dist = make()
+        assert detect_weights(dist) is not None
+        assert not symmetry._weight_path_applies(dist)
+        try:
+            want = degree_loop_symmetry_basis(make())
+        except PreconditionError as e:
+            with pytest.raises(PreconditionError, match=str(e)):
+                stabilized_symmetry_basis(dist)
+            return
+        got = stabilized_symmetry_basis(dist)
+        assert not got.certified
+        assert _basis_str(got.basis) == _basis_str(want.basis)
+        assert (got.dim, got.stable_degree) == (want.dim, want.stable_degree)
+
+    def test_unweighted_falls_back(self):
+        # a random Monge equation z' = F(x, y0, y1, y2) with no weights
+        first = ("1", "y1", "y2", "0", "-2/3*y2^2 + x*y0*y1 + 1/2*y1^2 + y0")
+        dist = _frame(("x", "y0", "y1", "y2", "z"), first)
+        assert detect_weights(dist) is None
+        got = stabilized_symmetry_basis(dist)
+        want = degree_loop_symmetry_basis(
+            _frame(("x", "y0", "y1", "y2", "z"), first))
+        assert not got.certified and got.stabilized
+        assert _basis_str(got.basis) == _basis_str(want.basis)
+        assert (got.dim, got.degree, got.stable_degree) == \
+            (want.dim, want.degree, want.stable_degree)
+
+    def test_block_guard_runs_before_enumeration(self, monkeypatch,
+                                                 tmp_path, capsys):
+        # the first block of monge5 (weight -3: d/dy0, d/dz) has 2 unknowns
+        def enumerated(*args):
+            raise AssertionError("a block was enumerated")
+
+        monkeypatch.setattr(symmetry, "MAX_SYMMETRY_UNKNOWNS", 1)
+        monkeypatch.setattr(symmetry, "_monomials_of_weight", enumerated)
+        with pytest.raises(OverflowError, match="weight block -3 has 2"):
+            stabilized_symmetry_basis(monge_model(5))
+        out = tmp_path / "out.json"
+        assert main(["symmetries", "--model", "monge", "--n", "5",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: weight block")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_block_guard_bounds_every_solved_block(self, monkeypatch):
+        solved = []
+        solve = symmetry._SymmetrySystem.solve
+
+        def counting(self, chart, unknowns):
+            solved.append(len(unknowns))
+            return solve(self, chart, unknowns)
+
+        monkeypatch.setattr(symmetry, "MAX_SYMMETRY_UNKNOWNS", 40)
+        monkeypatch.setattr(symmetry._SymmetrySystem, "solve", counting)
+        with pytest.raises(OverflowError, match="more than 40"):
+            stabilized_symmetry_basis(monge_model(5))
+        assert solved and max(solved) <= 40
+
+    def test_report_carries_certified(self, tmp_path):
+        out = tmp_path / "out.json"
+        assert main(["symmetries", "--model", "monge", "--n", "6",
+                     "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["certified"] is True
+        assert (rep["dim"], rep["degree"], rep["stable_degree"]) == \
+            (11, 5, 5)
