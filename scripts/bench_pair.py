@@ -11,8 +11,9 @@ which side goes first on every pair so that drift of the machine hits both
 sides alike.  Writes one JSON file: per workload and end-to-end metric the
 median and quartiles of each side, the relative change of the medians, and
 how many pairs the working tree won; plus the backend, Python version, core
-count and `src/` line count that `perfbench` records for each side.  Every
-run must report `correct`; a failed run stops the script.
+count and `src/` line count that `perfbench` records for each side, and for
+every run the rounds it completed in the window and the seconds its checks
+took.  Every run must report `correct`; a failed run stops the script.
 """
 
 from __future__ import annotations
@@ -85,14 +86,18 @@ def main(argv=None):
         for wl in args.workload:
             runs = {"base": [], "head": []}
             meta = {}
+            work = {"base": [], "head": []}
             for i in range(args.pairs):
                 order = ("base", "head") if i % 2 == 0 else ("head", "base")
                 for side in order:
                     metrics, meta[side] = bench(sides[side], wl, args.seed,
                                                 args.seconds)
                     runs[side].append(metrics)
-                    print("%s pair %d %s wall_s %.3f" % (
-                        wl, i, side, metrics["wall_s"]), flush=True)
+                    work[side].append({k: meta[side][k]
+                                       for k in ("rounds", "check_s")})
+                    print("%s pair %d %s wall_s %.3f rounds %d" % (
+                        wl, i, side, metrics["wall_s"],
+                        meta[side]["rounds"]), flush=True)
             per_metric = {}
             for name in runs["head"][0]:
                 b = [r[name] for r in runs["base"]]
@@ -104,6 +109,7 @@ def main(argv=None):
                     "head_wins": sum(y < x for x, y in zip(b, h))}
             out["workloads"][wl] = {
                 "metrics": per_metric,
+                "runs": work,
                 "meta": {side: {k: meta[side][k] for k in (
                     "backend", "python", "nproc", "src_lines")}
                     for side in meta}}

@@ -20,8 +20,8 @@ from .errors import PreconditionError
 from .kernel import PoleError, Q, as_q
 from .parsing import ExpressionError
 from .geometry import Chart
-from .distribution import (Distribution, NonEquiregular, equiregular_check,
-                           is_goursat, strong_flag, tanaka_symbol, weak_flag)
+from .distribution import (Distribution, equiregular_check, is_goursat,
+                           strong_flag, weak_flag)
 from .models import build_model, deprolongation_degree, prolong
 from .symplectic import CONVENTION_NOTE, class_at_point, fiber_sample
 from .extremals import integrate_char, nu_along
@@ -59,7 +59,10 @@ def load_input_file(path):
     """Distribution and base point of an input JSON file; malformed input
     raises ValueError."""
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("input JSON nests too deeply")
     if not isinstance(data, dict):
         raise ValueError("input must be a JSON object")
     coords = data.get("coordinates")
@@ -148,11 +151,9 @@ def cmd_analyze(args):
                                                   samples=args.samples,
                                                   seed=args.seed)
     if rep["equiregular_sampled"] and wf.dims[-1] == n:
-        try:
-            sym = tanaka_symbol(dist, point, samples=0)
-            rep["tanaka_symbol_dims"] = list(sym.dims)
-        except NonEquiregular:
-            pass
+        # dim g_-i = dim D^i - dim D^(i-1): the grading of the Tanaka symbol
+        rep["tanaka_symbol_dims"] = [b - a for a, b in
+                                     zip([0] + wf.dims, wf.dims)]
     if cube == 5:
         cr = class_at_point(dist, point, samples=args.samples,
                             seed=args.seed, depth_cap=args.depth_cap)

@@ -108,11 +108,8 @@ def per_distribution(fn):
 class FlagReport:
     """Pointwise derived-flag data at a base point."""
 
-    kind: str                      # "weak" or "strong"
-    point: list
     dims: list                     # dim of each power, starting at rank D
     words: list = field(default_factory=list)   # per level, bracket words kept
-    stabilized: bool = False
 
     @property
     def growth_vector(self):
@@ -135,11 +132,11 @@ def weak_flag(dist, q, max_depth=None, gens=None):
     if gens is None:
         dist.check_frame_at(q)
         gens = range(dist.rank)
-    dims, kept, stabilized = _weak_levels(
+    dims, kept = _weak_levels(
         lambda w: dist.word_value(w, q),
         lambda w: not dist.word_field(w).is_zero(),
         gens, n, n if max_depth is None else max_depth)
-    return FlagReport("weak", list(q), dims, kept, stabilized)
+    return FlagReport(dims, kept)
 
 
 def _weak_levels(value, nonzero, gens, dim, max_depth):
@@ -156,17 +153,15 @@ def _weak_levels(value, nonzero, gens, dim, max_depth):
     for w in gens:
         ech.add(value(w))
     words, kept, dims = gens, [gens], [ech.rank]
-    while len(dims) < max_depth:
+    while len(dims) < max_depth and dims[-1] < dim:
         words = [(a, w) for a in gens for w in words if nonzero((a, w))]
         kept.append([w for w in words if ech.add(value(w))])
         dims.append(ech.rank)
         if dims[-1] == dims[-2]:
             dims.pop()
             kept.pop()
-            return dims, kept, True
-        if dims[-1] == dim:
-            return dims, kept, True
-    return dims, kept, False
+            break
+    return dims, kept
 
 
 def strong_flag(dist, q, max_depth=None):
@@ -181,35 +176,20 @@ def strong_flag(dist, q, max_depth=None):
         max_depth = n
     dist.check_frame_at(q)
     ech = QEchelon(n)
-    spanning = []       # pruned pointwise-independent spanning words
-    kept_levels = []
-    dims = []
-    for w in range(dist.rank):
-        if ech.add(dist.word_value(w, q)):
-            spanning.append(w)
-    kept_levels.append(list(spanning))
-    dims.append(ech.rank)
-    stabilized = False
-    while len(dims) < max_depth:
-        new_kept = []
+    spanning = [w for w in range(dist.rank)
+                if ech.add(dist.word_value(w, q))]
+    dims = [ech.rank]
+    while len(dims) < max_depth and dims[-1] < n:
         for wa, wb in itertools.combinations(list(spanning), 2):
             bw = (wa, wb)
-            if dist.word_field(bw).is_zero():
-                continue
-            if ech.add(dist.word_value(bw, q)):
-                new_kept.append(bw)
-        spanning.extend(new_kept)
-        kept_levels.append(new_kept)
+            if (not dist.word_field(bw).is_zero() and
+                    ech.add(dist.word_value(bw, q))):
+                spanning.append(bw)
         dims.append(ech.rank)
         if dims[-1] == dims[-2]:
-            stabilized = True
             dims.pop()
-            kept_levels.pop()
             break
-        if dims[-1] == n:
-            stabilized = True
-            break
-    return FlagReport("strong", list(q), dims, kept_levels, stabilized)
+    return FlagReport(dims)
 
 
 def square_words(dist):
@@ -240,7 +220,7 @@ def is_goursat(dist, q, seed=0):
     expected = tuple(range(2, n + 1))
     points = [list(q)] + list(nearby_points(dist, q, 3, 40, seed))
     for p in points:
-        rep = strong_flag(dist, p, max_depth=n)
+        rep = strong_flag(dist, p)
         if rep.growth_vector != expected:
             return False
     return True

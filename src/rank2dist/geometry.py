@@ -12,7 +12,7 @@ from math import lcm
 
 from .kernel import (ModEchelon, PoleError, PolyRing, QEchelon, RatFunc,
                      as_q, q_inverse, q_residue)
-from .parsing import parse_expr
+from .parsing import NAME_RE, parse_expr
 
 
 class ChartMismatch(ValueError):
@@ -27,6 +27,10 @@ class Chart:
 
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(self.coords))
+        for c in self.coords:     # reports must parse back on the chart
+            if not (isinstance(c, str) and NAME_RE.fullmatch(c)):
+                raise ValueError("coordinate name %.40r is not an identifier "
+                                 "[A-Za-z_][A-Za-z0-9_]*" % (c,))
         if len(set(self.coords)) != len(self.coords):
             raise ValueError("coordinate names must be distinct")
 

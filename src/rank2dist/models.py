@@ -243,27 +243,27 @@ def _deprolong_invariants(dist, q):
 
 
 def deprolongation_degree(dist, q, cap=None):
-    """Iterate deprolongation (via invariants of iterated squares) until
-    the cube is 5-dimensional or the Engel model appears.
+    """Iterate deprolongation until the cube is 5-dimensional or the Engel
+    model appears, reading each step off the strong growth `dims` at q.
 
-    The s-th iterated square E_s (frame plus pairwise brackets, pruned
-    pointwise at q) is spanned by the words of the first s+1 levels of the
-    strong flag at q, so every flag runs over bracket words of `dist`.
-    Returns (s, terminal) with terminal in {"cube5", "engel"}.
+    A cube-4 D is locally the Cartan prolongation of its deprolongation
+    D_-1, whose strong flag it shifts by one: dim D^[i+1] = dim D_-1^[i] + 1.
+    For rank 2 the weak and strong cubes agree (D^[3] = D^2 + [D^2, D^2] =
+    D^3), so while every step has cube 4, step s has cube dims[2 + s] - s
+    and, on dimension n - s = 4, growth dims[s:] - s.  (The weak flag does
+    not shift: prolonged Monge 5 has weak growth (2, 3, 4, 5, 6), strong
+    (2, 3, 4, 6).)  Returns (s, terminal), terminal "cube5" or "engel".
     """
     n = dist.chart.dim
     if cap is None:
         cap = n
-    levels = strong_flag(dist, q).words
+    dims = strong_flag(dist, q).dims
     for s in range(cap + 1):
-        words = [w for level in levels[:s + 1] for w in level]
-        rep = weak_flag(dist, q, max_depth=3 if n - s > 4 else None,
-                        gens=words)
-        cube_s = rep.cube - s
+        cube_s = dims[min(2 + s, len(dims) - 1)] - s
         if cube_s == 5:
             return s, "cube5"
         if n - s == 4:
-            growth = tuple(d - s for d in rep.dims)
+            growth = tuple(d - s for d in dims[s:])
             if growth == (2, 3, 4):
                 return n - 4, "engel"
             raise PreconditionError(

@@ -2,8 +2,9 @@
 
 Grammar: integers, rationals p/q, identifiers [A-Za-z_][A-Za-z0-9_]*,
 operators + - * / ^ with standard precedence, parentheses.  `^` takes
-nonnegative integer exponents up to 65535 only.  Parses to a RatFunc over
-a given ring.
+nonnegative integer exponents up to 65535 only; parentheses and unary
+signs nest at most MAX_NESTING deep.  Parses to a RatFunc over a given
+ring.
 """
 
 from __future__ import annotations
@@ -12,7 +13,12 @@ import re
 
 from .kernel import MAX_EXPONENT, PolyRing, RatFunc
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([()+\-*/^]))")
+# each level costs two Python frames, so this keeps well inside the
+# interpreter's default recursion limit of 1000
+MAX_NESTING = 200
+
+NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|(%s)|([()+\-*/^]))" % NAME_RE.pattern)
 
 
 class ExpressionError(ValueError):
@@ -55,6 +61,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.ring = ring
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -114,16 +121,18 @@ class _Parser:
             if val not in self.ring.index:
                 raise ExpressionError("unknown variable %r" % val, pos)
             return RatFunc.variable(self.ring, val)
-        if kind == "op" and val == "(":
-            inner = self.expression(0)
-            kind, val, pos = self.advance()
-            if not (kind == "op" and val == ")"):
-                raise ExpressionError("expected ')'", pos)
-            return inner
-        if kind == "op" and val == "-":
-            return -self.expression(3)
-        if kind == "op" and val == "+":
-            return self.expression(3)
+        if kind == "op" and val in ("(", "-", "+"):
+            if self.depth == MAX_NESTING:
+                raise ExpressionError("nested deeper than %d" % MAX_NESTING,
+                                      pos)
+            self.depth += 1
+            inner = self.expression(0 if val == "(" else 3)
+            self.depth -= 1
+            if val == "(":
+                kind, close, pos = self.advance()
+                if not (kind == "op" and close == ")"):
+                    raise ExpressionError("expected ')'", pos)
+            return -inner if val == "-" else inner
         raise ExpressionError("expected a term", pos)
 
 

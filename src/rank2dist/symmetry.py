@@ -193,7 +193,7 @@ class SymmetryBasis:
     certified: bool = False
 
 
-def symmetry_basis(dist, d, weights="auto"):
+def symmetry_basis(dist, d):
     """Exact nullspace basis of the degree-d polynomial symmetry system.
 
     The returned dimension is a lower bound for the full symmetry algebra
@@ -205,8 +205,7 @@ def symmetry_basis(dist, d, weights="auto"):
     ring = chart.ring
     n = chart.dim
     forms = annihilator_forms(dist)
-    if weights == "auto":
-        weights = detect_weights(dist)
+    weights = detect_weights(dist)
     if weights is not None:
         forms = [h for f in forms for h in _split_form_by_weight(f, weights)]
     # the exponent guard runs before the monomials are enumerated

@@ -8,7 +8,8 @@ the path that flow series replaced; `apply_to`, `poisson` and
 `abstract_tanaka_replay` are exact calculus that only tests call;
 `rk4_on_lists` is the per-stage list RK4 loop that the generated RK4 step
 replaced; `degree_loop_symmetry_basis` is the per-degree stabilization loop
-that the weight-block path replaced.
+that the weight-block path replaced; `iterated_square_deprolongation_degree`
+is the deprolongation loop that reading the strong flag replaced.
 """
 
 import itertools
@@ -288,9 +289,9 @@ def abstract_tanaka_replay(sym):
     """
     from rank2dist.distribution import _symbol_from_basis, _weak_levels
 
-    _, levels, _ = _weak_levels(sym.eval_word, lambda w: any(sym.eval_word(w)),
-                                range(sym.dims[0]), sym.total_dim,
-                                sym.total_dim)
+    _, levels = _weak_levels(sym.eval_word, lambda w: any(sym.eval_word(w)),
+                             range(sym.dims[0]), sym.total_dim,
+                             sym.total_dim)
     return _symbol_from_basis(levels, sym.eval_word)
 
 
@@ -343,3 +344,50 @@ def degree_loop_symmetry_basis(dist, max_degree=8):
         prev = cur
     raise PreconditionError("symmetry dimension did not stabilize by "
                             "degree %d" % max_degree)
+
+
+def iterated_square_deprolongation_degree(dist, q, cap=None):
+    """(s, terminal) of the deprolongation loop over iterated squares.
+
+    The s-th iterated square E_s (frame plus pairwise brackets, pruned
+    pointwise at q) is spanned by the words of the first s+1 levels of the
+    strong flag at q; step s runs a fresh weak flag from those words and
+    reads the cube, and on dimension n - s = 4 the growth, less s."""
+    from rank2dist.distribution import weak_flag
+    from rank2dist.errors import PreconditionError
+    from rank2dist.kernel import QEchelon
+
+    n = dist.chart.dim
+    if cap is None:
+        cap = n
+    dist.check_frame_at(q)
+    ech = QEchelon(n)
+    spanning = [w for w in range(dist.rank) if ech.add(dist.word_value(w, q))]
+    levels = [list(spanning)]
+    while len(levels) < n and ech.rank < n:
+        new = [(a, b) for a, b in itertools.combinations(list(spanning), 2)
+               if not dist.word_field((a, b)).is_zero() and
+               ech.add(dist.word_value((a, b), q))]
+        if not new:
+            break
+        spanning += new
+        levels.append(new)
+    for s in range(cap + 1):
+        words = [w for level in levels[:s + 1] for w in level]
+        rep = weak_flag(dist, q, max_depth=3 if n - s > 4 else None,
+                        gens=words)
+        cube_s = rep.cube - s
+        if cube_s == 5:
+            return s, "cube5"
+        if n - s == 4:
+            growth = tuple(d - s for d in rep.dims)
+            if growth == (2, 3, 4):
+                return n - 4, "engel"
+            raise PreconditionError(
+                "deprolongation reached dimension 4 with growth %s"
+                % (growth,))
+        if cube_s < 4:
+            raise PreconditionError(
+                "deprolongation stalled: cube dimension %d at step %d"
+                % (cube_s, s))
+    raise PreconditionError("deprolongation cap %d exceeded" % cap)

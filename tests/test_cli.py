@@ -18,6 +18,16 @@ SCHEMA = json.loads(
      "report-v1.json").read_text())
 
 
+# z' = y3^2 - 2/3 y3 y1 + 5/2 x y0^2 + y2^3 at a point off the origin
+RANDOM_MONGE6 = {
+    "coordinates": ["x", "y0", "y1", "y2", "y3", "z"],
+    "fields": [["1", "y1", "y2", "y3", "0",
+                "y3^2 - 2/3*y3*y1 + 5/2*x*y0^2 + y2^3"],
+               ["0", "0", "0", "0", "1", "0"]],
+    "point": ["1/2", "-1", "0", "2", "1/3", "0"],
+}
+
+
 def run_cli(args, tmp_path, name="out.json"):
     out = tmp_path / name
     code = main(list(args) + ["--out", str(out)])
@@ -72,6 +82,28 @@ class TestAnalyze:
         assert code == 0
         assert rep["growth_vector"] == [2, 3, 5]
         assert rep["class"]["m"] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "monge", "--n", "5"], ["--model", "monge", "--n", "6"],
+        ["--model", "monge", "--n", "7"], ["--model", "monge", "--n", "8"],
+        ["--model", "free-flat", "--step", "4"],
+        ["--model", "free-flat", "--step", "5"], None],
+        ids=["monge5", "monge6", "monge7", "monge8", "free-flat4",
+             "free-flat5", "random-monge"])
+    def test_tanaka_dims_are_the_symbol_dims(self, tmp_path, argv):
+        # the report reads the grading off the weak growth vector
+        from rank2dist.cli import build_parser, resolve_input
+        from rank2dist.distribution import tanaka_symbol
+        if argv is None:
+            path = tmp_path / "random_monge.json"
+            path.write_text(json.dumps(RANDOM_MONGE6))
+            argv = ["--input", str(path)]
+        code, rep = run_cli(["analyze"] + argv, tmp_path)
+        assert code == 0
+        dist, point, _ = resolve_input(
+            build_parser().parse_args(["analyze"] + argv))
+        assert rep["tanaka_symbol_dims"] == \
+            tanaka_symbol(dist, point, samples=0).dims
 
     def test_determinism_byte_identical(self, tmp_path):
         _, _ = run_cli(["analyze", "--model", "monge", "--n", "6",
@@ -269,7 +301,13 @@ class TestErrors:
         {"coordinates": ["x", "y", "z"],
          "fields": [["1", "0", "y"], ["0", "1", "0"]],
          "point": ["1/0", "0", "0"]},
-    ], ids=["no-fields", "not-an-object", "zero-denominator-point"])
+        {"coordinates": ["x", "y", "z"],
+         "fields": [["1", "0", "(" * 2000 + "x" + ")" * 2000],
+                    ["0", "1", "0"]]},
+        {"coordinates": ["x", "y", "z"],
+         "fields": [["1", "0", "-" * 5000 + "x"], ["0", "1", "0"]]},
+    ], ids=["no-fields", "not-an-object", "zero-denominator-point",
+            "nested-parentheses", "nested-minus"])
     def test_malformed_input_is_one_line(self, tmp_path, capsys, spec):
         p = tmp_path / "malformed.json"
         p.write_text(json.dumps(spec))
@@ -277,6 +315,34 @@ class TestErrors:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("input error:")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_deeply_nested_json_is_one_line(self, tmp_path, capsys):
+        # raw text: json.dumps itself would recurse this deep
+        p = tmp_path / "nested.json"
+        p.write_text('{"coordinates": ["x", "y", "z"], "fields": %s%s}'
+                     % ("[" * 100000, "]" * 100000))
+        code, _ = run_cli(["analyze", "--input", str(p)], tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("coords", [["x", "y z", "2w"], ["x", "", "z"]],
+                             ids=["space-and-digit", "empty"])
+    def test_coordinate_names_outside_the_grammar(self, tmp_path, capsys,
+                                                  coords):
+        # the report's basis strings must parse back on the same chart
+        p = tmp_path / "names.json"
+        p.write_text(json.dumps({
+            "coordinates": coords,
+            "fields": [["1", "0", "0"], ["0", "1", "0"]],
+        }))
+        code, _ = run_cli(["symmetries", "--input", str(p), "--degree", "1"],
+                          tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: coordinate name")
         assert len(err.strip().splitlines()) == 1
 
     def test_exponent_point_fails_fast(self, tmp_path, capsys):

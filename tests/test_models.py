@@ -1,16 +1,21 @@
 """Model constructors, prolongation/deprolongation, flat nilpotent models."""
 
+import random
+
 import pytest
 
-from rank2dist.distribution import tanaka_symbol, weak_flag
+from rank2dist import models
+from rank2dist.distribution import Distribution, tanaka_symbol, weak_flag
 from rank2dist.errors import PreconditionError
-from rank2dist.geometry import lie_bracket, pair
+from rank2dist.geometry import Chart, lie_bracket, pair
 from rank2dist.kernel import Q
 from rank2dist.models import (build_model, cartan_jet,
                               cauchy_characteristic, deprolong,
                               deprolongation_degree, flat_from_symbol,
                               free_nilpotent_symbol, left_invariant_fields,
                               monge_model, monge_pfaffian_forms, prolong)
+
+from oracles import iterated_square_deprolongation_degree
 
 
 def origin(dist):
@@ -124,6 +129,109 @@ class TestDeprolong:
         field_evals[0] = 0
         assert deprolongation_degree(e, origin(e)) == (6, "engel")
         assert field_evals[0] == 0
+
+
+def _outcome(fn, dist, q):
+    """fn(dist, q), or the message of the PreconditionError it raises."""
+    try:
+        return fn(dist, q)
+    except PreconditionError as e:
+        return "precondition failed: %s" % e
+
+
+def _prolonged(dist, count):
+    for _ in range(count):
+        dist = prolong(dist)
+    return dist
+
+
+def _random_point(dist, seed):
+    rng = random.Random(seed)
+    return [Q(rng.randint(-3, 3), rng.randint(1, 3))
+            for _ in range(dist.chart.dim)]
+
+
+def _random_monge5(seed):
+    """z' = y2^2 + c0 y2 u + c1 v w + c2 t^3 on (x, y0, y1, y2, z), with
+    seeded coefficients and lower coordinates u, v, w, t."""
+    rng = random.Random(seed)
+    low = ["x", "y0", "y1"]
+    c = ["%d/%d" % (rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+         for _ in range(3)]
+    rhs = "y2^2 + (%s)*y2*%s + (%s)*%s*%s + (%s)*%s^3" % (
+        c[0], rng.choice(low), c[1], rng.choice(low), rng.choice(low), c[2],
+        rng.choice(low))
+    chart = Chart(("x", "y0", "y1", "y2", "z"))
+    return Distribution(chart, [chart.field("1", "y1", "y2", "0", rhs),
+                                chart.field("0", "0", "0", "1", "0")])
+
+
+def _stalling_frame(idle):
+    """X1 = d/dx + y1 d/dy0, X2 = d/dy1 on (x, y0, y1, w1, ..., w_idle):
+    the flag stops at dimension 3 and never reaches the w's."""
+    chart = Chart(("x", "y0", "y1") + tuple("w%d" % (i + 1)
+                                            for i in range(idle)))
+    zeros = ("0",) * idle
+    return Distribution(chart, [chart.field("1", "y1", "0", *zeros),
+                                chart.field("0", "0", "1", *zeros)])
+
+
+class TestDeprolongationFromFlags:
+    """The degree read off one strong flag equals the iterated-square loop
+    in tests/oracles.py, results and error messages alike."""
+
+    def check(self, dist, q):
+        got = _outcome(deprolongation_degree, dist, q)
+        assert got == _outcome(iterated_square_deprolongation_degree, dist,
+                               q)
+        return got
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_cartan_jets(self, k):
+        e = cartan_jet(k)
+        assert self.check(e, origin(e)) == (k - 2, "engel")
+
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("count", range(4))
+    def test_prolonged_monge(self, n, count):
+        e = _prolonged(monge_model(n), count)
+        assert self.check(e, origin(e)) == (count, "cube5")
+        assert self.check(e, _random_point(e, 10 * n + count)) == \
+            (count, "cube5")
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("count", range(1, 4))
+    def test_prolonged_random_monge(self, seed, count):
+        e = _prolonged(_random_monge5(seed), count)
+        assert self.check(e, origin(e)) == (count, "cube5")
+        assert self.check(e, _random_point(e, seed)) == (count, "cube5")
+
+    @pytest.mark.parametrize("idle", [1, 2])
+    @pytest.mark.parametrize("count", range(4))
+    def test_not_bracket_generating(self, idle, count):
+        # one idle coordinate leaves dimension 4 when deprolongation ends;
+        # two leave the cube at 3 one step before
+        e = _prolonged(_stalling_frame(idle), count)
+        expect = ("deprolongation reached dimension 4 with growth (2, 3)"
+                  if idle == 1 else
+                  "deprolongation stalled: cube dimension 3 at step %d"
+                  % count)
+        assert self.check(e, origin(e)) == "precondition failed: " + expect
+        assert self.check(e, _random_point(e, count)) == \
+            "precondition failed: " + expect
+
+    def test_one_strong_flag_and_no_weak_flag(self, monkeypatch):
+        calls = []
+
+        def counting(name):
+            real = getattr(models, name)
+            return lambda *a, **kw: calls.append(name) or real(*a, **kw)
+
+        for name in ("strong_flag", "weak_flag"):
+            monkeypatch.setattr(models, name, counting(name))
+        e = _prolonged(monge_model(5), 2)
+        assert deprolongation_degree(e, origin(e)) == (2, "cube5")
+        assert calls == ["strong_flag"]
 
 
 class TestFlatModels:

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from rank2dist.kernel import PoleError, PolyRing, Q, RatFunc
-from rank2dist.parsing import ExpressionError, parse_expr
+from rank2dist.parsing import MAX_NESTING, ExpressionError, parse_expr
 
 RING = PolyRing(("x", "y", "z"))
 
@@ -86,6 +86,18 @@ class TestErrors:
             parse_expr("(x+1)^65535", RING)
         assert time.perf_counter() - start < 1
         assert parse_expr("(x+y)^200", RING).num.total_degree() == 200
+
+    def test_nesting_bounded(self):
+        assert ev("(" * 100 + "x" + ")" * 100) == Q(1)
+        assert ev("-" * 100 + "x") == Q(1)
+        assert ev("(-" * (MAX_NESTING // 2) + "x" + ")" * (MAX_NESTING // 2)
+                  ) == Q(1)
+        for text in ("(" * 2000 + "x" + ")" * 2000, "-" * 5000 + "x",
+                     "x + " + "(" * (MAX_NESTING + 1) + "y"):
+            with pytest.raises(ExpressionError) as e:
+                parse_expr(text, RING)
+            assert "nested deeper than %d" % MAX_NESTING in str(e.value)
+        assert e.value.pos == 4 + MAX_NESTING
 
     def test_garbage_token(self):
         with pytest.raises(ExpressionError):
