@@ -18,18 +18,16 @@ from .geometry import Chart, OneForm, VectorField, lie_bracket, pair
 from .distribution import (Distribution, FlagReport, GradedSymbol,
                            InvalidSymbol, cube_dim, equiregular_check,
                            is_goursat, strong_flag, tanaka_symbol, weak_flag)
-from .freelie import FreeLieTruncated, lyndon_basis
+from .freelie import lyndon_basis
 from .models import (build_model, cartan_jet, deprolong,
                      deprolongation_degree, flat_from_symbol,
-                     free_nilpotent_symbol, monge_model,
-                     monge_pfaffian_forms, prolong)
+                     free_nilpotent_symbol, monge_model, prolong)
 from .symplectic import (ClassReport, CotangentChart, CovectorSample,
                          FullFlagTable, char_field, class_at_point,
                          class_at_sample, cone_J_generators, fiber_sample,
                          hamiltonians, pointwise_full_flag)
 from .extremals import (CorankReport, Trajectory, endpoint_errors,
                         integrate_char, nu_along)
-from .symmetry import (SymmetryBasis, bracket_close_check, is_symmetry,
-                       nilradical_witness_dim, stabilized_symmetry_basis,
-                       symmetry_basis, symmetry_structure_constants,
-                       vanishing_subspace_dim)
+from .symmetry import (SymmetryBasis, is_symmetry, nilradical_witness_dim,
+                       stabilized_symmetry_basis, symmetry_basis,
+                       symmetry_structure_constants)

@@ -8,7 +8,6 @@ parse errors, 2 geometric precondition failures.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import math
@@ -17,7 +16,7 @@ import sys
 
 from . import __version__
 from .errors import PreconditionError
-from .kernel import PoleError, Q, as_q
+from .kernel import PoleError, Q, as_q, unlimited_digits
 from .parsing import ExpressionError
 from .geometry import Chart
 from .distribution import (Distribution, equiregular_check, is_goursat,
@@ -32,23 +31,8 @@ EXIT_INPUT = 1
 EXIT_PRECONDITION = 2
 
 
-@contextlib.contextmanager
-def _unlimited_digits():
-    """Lift Python's int-to-string digit limit while exact values are
-    formatted for a report; parsing input keeps the limit."""
-    # Pythons before 3.10.7 have no limit
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
-
-
 def _point_str(pt):
-    with _unlimited_digits():
+    with unlimited_digits():
         return [str(as_q(v)) for v in pt]
 
 
@@ -224,7 +208,7 @@ def cmd_symmetries(args):
 
 
 def _basis_str(fields):
-    with _unlimited_digits():
+    with unlimited_digits():
         return [[c.to_str() for c in f.components] for f in fields]
 
 

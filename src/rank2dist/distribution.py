@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import (DegenerateFrame, InvariantViolation, NonEquiregular,
                      NotBracketGenerating, SamplingFailure)
-from .kernel import PoleError, Q, QEchelon, as_q, q_coordinates
+from .kernel import PoleError, Q, QEchelon, as_q, point_str, q_coordinates
 from .geometry import lie_bracket
 
 # Default sampling box: integer offsets in [-3, 3] scaled by 1/2.
@@ -89,24 +89,31 @@ class Distribution:
         for v in values:
             ech.add(v)
         if ech.rank != len(self.frame):
-            raise DegenerateFrame("frame fields dependent at %s" % (list(q),))
+            raise DegenerateFrame("frame fields dependent at %s"
+                                  % point_str(q))
 
 
 def per_distribution(fn):
-    """Memoize fn(dist, *args) in the distribution, which holds the one memo
-    of everything that depends only on its frame (shared: never mutate)."""
+    """Memoize fn(dist) or fn(dist, q) in the distribution, which holds the
+    one memo of everything that depends only on its frame and the point.
+
+    The point is keyed, and handed to fn, as a tuple of Q, as in
+    `word_value`, so lists, tuples, ints, strings and Q values of one point
+    share one entry.  Results are shared: never mutate them."""
     @functools.wraps(fn)
-    def memoized(dist, *args):
-        key = (fn.__name__,) + args
+    def memoized(dist, *point):
+        key = (fn.__name__,) + tuple(tuple(as_q(x) for x in q)
+                                     for q in point)
         if key not in dist._memo:
-            dist._memo[key] = fn(dist, *args)
+            dist._memo[key] = fn(dist, *key[1:])
         return dist._memo[key]
     return memoized
 
 
 @dataclass
 class FlagReport:
-    """Pointwise derived-flag data at a base point."""
+    """Pointwise derived-flag data at a base point.  `weak_flag` and
+    `strong_flag` share one report per point: never mutate it."""
 
     dims: list                     # dim of each power, starting at rank D
     words: list = field(default_factory=list)   # per level, bracket words kept
@@ -121,21 +128,20 @@ class FlagReport:
         return self.dims[min(2, len(self.dims) - 1)]
 
 
-def weak_flag(dist, q, max_depth=None, gens=None):
-    """Weak derived flag D^i(q) via left-normed bracket words.
+@per_distribution
+def weak_flag(dist, q):
+    """Weak derived flag D^i(q) via left-normed bracket words, from the
+    frame checked at q.
 
-    dims[i-1] = dim D^i(q).  Stops at stabilization, full dimension, or
-    max_depth levels.  `gens` are bracket words of `dist` independent at q
-    that span D^1 (default: the frame, checked at q).
+    dims[i-1] = dim D^i(q); stops at stabilization or full dimension.
+    Memoized per point: the FlagReport is shared, never mutate it.
     """
+    dist.check_frame_at(q)
     n = dist.chart.dim
-    if gens is None:
-        dist.check_frame_at(q)
-        gens = range(dist.rank)
     dims, kept = _weak_levels(
         lambda w: dist.word_value(w, q),
         lambda w: not dist.word_field(w).is_zero(),
-        gens, n, n if max_depth is None else max_depth)
+        range(dist.rank), n, n)
     return FlagReport(dims, kept)
 
 
@@ -145,8 +151,7 @@ def _weak_levels(value, nonzero, gens, dim, max_depth):
     Level 1 is `gens`; level i+1 brackets each generator a with each
     nonzero level-i word w as (a, w).  Each level keeps, in that order, the
     words whose `value` (a length-`dim` vector over Q) extends the span of
-    the words kept so far.  Returns (dims, kept words per level,
-    stabilized).
+    the words kept so far.  Returns (dims, kept words per level).
     """
     gens = list(gens)
     ech = QEchelon(dim)
@@ -164,22 +169,22 @@ def _weak_levels(value, nonzero, gens, dim, max_depth):
     return dims, kept
 
 
-def strong_flag(dist, q, max_depth=None):
+@per_distribution
+def strong_flag(dist, q):
     """Strong derived flag D^[i](q): each level brackets the previous level
     with itself.
 
     Spanning sets are pruned to pointwise-independent subsets at q, which
     is valid at points where the flag ranks are locally constant.
+    Memoized per point: the FlagReport is shared, never mutate it.
     """
     n = dist.chart.dim
-    if max_depth is None:
-        max_depth = n
     dist.check_frame_at(q)
     ech = QEchelon(n)
     spanning = [w for w in range(dist.rank)
                 if ech.add(dist.word_value(w, q))]
     dims = [ech.rank]
-    while len(dims) < max_depth and dims[-1] < n:
+    while dims[-1] < n:
         for wa, wb in itertools.combinations(list(spanning), 2):
             bw = (wa, wb)
             if (not dist.word_field(bw).is_zero() and
@@ -207,7 +212,7 @@ def square_fields(dist):
 
 def cube_dim(dist, q):
     """dim D^3(q); for a rank-2 frame this is at most 5."""
-    d = weak_flag(dist, q, max_depth=3).cube
+    d = weak_flag(dist, q).cube
     if dist.rank == 2 and d > 5:
         raise InvariantViolation("rank-2 cube has dimension %d > 5" % d)
     return d

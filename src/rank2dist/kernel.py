@@ -10,7 +10,9 @@ The monomial order used for leading terms is graded lexicographic.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
+import sys
 from functools import reduce
 from math import comb, gcd as igcd, isqrt, lcm, prod
 from operator import or_
@@ -45,6 +47,28 @@ def as_q(x):
     if isinstance(x, type(_ZERO)):
         return x
     return Q(x)
+
+
+@contextlib.contextmanager
+def unlimited_digits():
+    """Lift Python's int-to-string digit limit while exact values are
+    formatted for a report or a message; parsing input keeps the limit."""
+    # Pythons before 3.10.7 have no limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def point_str(q):
+    """A point spelled as report provenance spells it, e.g. [0, 0, 1/2],
+    the same under either coefficient backend."""
+    with unlimited_digits():
+        return "[%s]" % ", ".join(str(as_q(x)) for x in q)
 
 
 class PolyRing:

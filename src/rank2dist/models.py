@@ -5,16 +5,17 @@ the symbol's nilpotent group, read off its Maurer-Cartan form."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .kernel import (PoleError, Q, RatFunc, as_q, clear_denominators,
-                     q_inverse, rf_nullspace, rf_rref)
-from .geometry import Chart, OneForm, VectorField, linear_change
-from .distribution import (Distribution, GradedSymbol, cube_dim,
-                           nearby_points, square_fields, strong_flag,
-                           weak_flag)
-from .freelie import FreeLieTruncated
+                     point_str, q_inverse, rf_nullspace, rf_rref)
+from .geometry import Chart, VectorField, linear_change
+from .distribution import (Distribution, FlagReport, _symbol_from_basis,
+                           _weak_levels, cube_dim, nearby_points,
+                           square_fields, strong_flag, weak_flag)
+from .freelie import bracket_word, expand_word, lyndon_basis
 
 
 # ---------------------------------------------------------------------------
@@ -43,29 +44,6 @@ def monge_model(n):
     x1 = VectorField(chart, comps)
     x2 = chart.coordinate_field("y%d" % m)
     return Distribution(chart, [x1, x2])
-
-
-def monge_pfaffian_forms(n):
-    """The n-2 annihilator one-forms of the Monge model:
-    dy_i - y_{i+1} dx (0 <= i <= n-4) and dz - y_{n-3}^2 dx."""
-    dist = monge_model(n)
-    chart = dist.chart
-    ring = chart.ring
-    m = n - 3
-    forms = []
-    zero = RatFunc.from_const(ring, 0)
-    one = RatFunc.from_const(ring, 1)
-    for i in range(m):
-        comps = [zero] * n
-        comps[0] = -RatFunc.variable(ring, "y%d" % (i + 1))
-        comps[1 + i] = one
-        forms.append(OneForm(chart, comps))
-    comps = [zero] * n
-    ym = RatFunc.variable(ring, "y%d" % m)
-    comps[0] = -(ym * ym)
-    comps[n - 1] = one
-    forms.append(OneForm(chart, comps))
-    return forms
 
 
 def cartan_jet(k):
@@ -143,7 +121,7 @@ def _check_cube4_near(dist, q):
             continue
         if c != 4:
             raise PreconditionError("cube dimension is %d (need 4) at %s"
-                                    % (c, p))
+                                    % (c, point_str(p)))
 
 
 def cauchy_characteristic(dist):
@@ -177,7 +155,7 @@ def deprolong(dist, q):
     zval = z.at(q)
     if not any(zval):
         raise PreconditionError("characteristic field vanishes at %s"
-                                % (list(q),))
+                                % point_str(q))
     if all(c.is_const() for c in z.components):
         result = _deprolong_rectified(dist, q, z)
         if result is not None:
@@ -234,7 +212,11 @@ def _deprolong_rectified(dist, q, z):
 
 
 def _deprolong_invariants(dist, q):
-    rep = weak_flag(dist, q, gens=(0, 1, (0, 1)))      # the flag of D^2
+    n = dist.chart.dim
+    rep = FlagReport(*_weak_levels(                      # the flag of D^2
+        lambda w: dist.word_value(w, q),
+        lambda w: not dist.word_field(w).is_zero(),
+        (0, 1, (0, 1)), n, n))
     growth = tuple(d - 1 for d in rep.dims)
     cube = rep.cube - 1
     return DeprolongResult(rectified=False, growth=growth, cube=cube,
@@ -282,14 +264,24 @@ def deprolongation_degree(dist, q, cap=None):
 
 def free_nilpotent_symbol(step):
     """Free 2-generator nilpotent symbol of the given step, in the Lyndon
-    basis ordered by degree."""
+    basis ordered by degree.  The value of a bracket word is its
+    tensor-algebra expansion over the words of length <= step."""
     if step < 2:
         raise ValueError("step must be >= 2")
-    fl = FreeLieTruncated(step)
-    labels = ["".join("ab"[c] for c in w) for w in fl.basis]
-    sym = GradedSymbol(dims=list(fl.dims), structure=fl.structure_constants(),
-                       labels=labels, words=list(fl.bracket_words))
-    sym.validate()
+    basis = lyndon_basis(step)
+    column = {w: i for i, w in enumerate(
+        w for d in range(1, step + 1)
+        for w in itertools.product((0, 1), repeat=d))}
+
+    def value(word):
+        v = [Q(0)] * len(column)
+        for w, c in expand_word(word).items():
+            v[column[w]] = c
+        return v
+
+    sym = _symbol_from_basis([[bracket_word(w) for w in basis if len(w) == d]
+                              for d in range(1, step + 1)], value)
+    sym.labels = ["".join("ab"[c] for c in w) for w in basis]
     return sym
 
 
@@ -387,15 +379,6 @@ def build_model(family, **params):
         sym = free_nilpotent_symbol(step)
         return ModelSpec("free-flat", {"step": step}, flat_from_symbol(sym))
     if family == "prolonged":
-        if "base" not in params:
-            raise ValueError("model prolonged needs a base model: use "
-                             "--model BASE --prolong COUNT")
-        base = build_model(params["base"], **params.get("base_params", {}))
-        dist = base.distribution
-        count = int(params.get("count", 1))
-        for _ in range(count):
-            dist = prolong(dist)
-        return ModelSpec("prolonged",
-                         {"base": base.family, **base.params, "count": count},
-                         dist)
+        raise ValueError("model prolonged needs a base model: use "
+                         "--model BASE --prolong COUNT")
     raise ValueError("unknown model family %r" % family)

@@ -447,25 +447,6 @@ def is_symmetry(dist, y):
     return True
 
 
-def bracket_close_check(dist, basis):
-    """True iff the bracket of every basis pair satisfies the symmetry
-    equations exactly (checked against the equations, not the span)."""
-    for y1, y2 in itertools.combinations(basis.basis, 2):
-        if not is_symmetry(dist, lie_bracket(y1, y2)):
-            return False
-    return True
-
-
-def vanishing_subspace_dim(basis, q):
-    """Dimension of the sub-span of basis fields vanishing at q (witness
-    for the nilradical lower bound)."""
-    vals = [f.at(q) for f in basis.basis]
-    ech = QEchelon(len(vals[0]) if vals else 0)
-    for v in vals:
-        ech.add(v)
-    return basis.dim - ech.rank
-
-
 def _field_coeff_items(y):
     """(mono_key, comp_index) -> Q for a polynomial vector field."""
     out = {}

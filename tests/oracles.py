@@ -9,7 +9,11 @@ the path that flow series replaced; `apply_to`, `poisson` and
 `rk4_on_lists` is the per-stage list RK4 loop that the generated RK4 step
 replaced; `degree_loop_symmetry_basis` is the per-degree stabilization loop
 that the weight-block path replaced; `iterated_square_deprolongation_degree`
-is the deprolongation loop that reading the strong flag replaced.
+is the deprolongation loop that reading the strong flag replaced;
+`lyndon_structure_constants` is the per-degree tensor-algebra decomposition
+that `free_nilpotent_symbol` replaced.  `monge_pfaffian_forms`,
+`bracket_close_check` and `vanishing_subspace_dim` are exact checks that
+only tests call.
 """
 
 import itertools
@@ -353,7 +357,7 @@ def iterated_square_deprolongation_degree(dist, q, cap=None):
     pointwise at q) is spanned by the words of the first s+1 levels of the
     strong flag at q; step s runs a fresh weak flag from those words and
     reads the cube, and on dimension n - s = 4 the growth, less s."""
-    from rank2dist.distribution import weak_flag
+    from rank2dist.distribution import FlagReport, _weak_levels
     from rank2dist.errors import PreconditionError
     from rank2dist.kernel import QEchelon
 
@@ -374,8 +378,10 @@ def iterated_square_deprolongation_degree(dist, q, cap=None):
         levels.append(new)
     for s in range(cap + 1):
         words = [w for level in levels[:s + 1] for w in level]
-        rep = weak_flag(dist, q, max_depth=3 if n - s > 4 else None,
-                        gens=words)
+        rep = FlagReport(*_weak_levels(
+            lambda w: dist.word_value(w, q),
+            lambda w: not dist.word_field(w).is_zero(),
+            words, n, 3 if n - s > 4 else n))
         cube_s = rep.cube - s
         if cube_s == 5:
             return s, "cube5"
@@ -391,3 +397,109 @@ def iterated_square_deprolongation_degree(dist, q, cap=None):
                 "deprolongation stalled: cube dimension %d at step %d"
                 % (cube_s, s))
     raise PreconditionError("deprolongation cap %d exceeded" % cap)
+
+
+def lyndon_structure_constants(step):
+    """structure[a][b] = coordinates of [basis_a, basis_b] in the Lyndon
+    basis of the free 2-generator Lie algebra truncated at `step`, each
+    bracket of degree d decomposed over the expansions of the degree-d
+    basis words, in a tensor algebra truncated at `step`."""
+    from rank2dist.freelie import bracket_word, lyndon_basis
+    from rank2dist.kernel import Q, q_coordinates
+
+    def mul(a, b):
+        out = {}
+        for wa, ca in a.items():
+            for wb, cb in b.items():
+                if len(wa + wb) <= step:
+                    out[wa + wb] = out.get(wa + wb, Q(0)) + ca * cb
+        return out
+
+    def commutator(a, b):
+        ab, ba = mul(a, b), mul(b, a)
+        out = {w: ab.get(w, Q(0)) - ba.get(w, Q(0)) for w in ab.keys() | ba}
+        return {w: c for w, c in out.items() if c}
+
+    def expand(word):
+        if isinstance(word, int):
+            return {(word,): Q(1)}
+        return commutator(expand(word[0]), expand(word[1]))
+
+    basis = lyndon_basis(step)
+    expansions = [expand(bracket_word(w)) for w in basis]
+
+    def decompose(elt, degree):
+        idxs = [i for i, w in enumerate(basis) if len(w) == degree]
+        words = sorted({w for i in idxs for w in expansions[i]})
+        coordinates = q_coordinates([[expansions[i].get(w, Q(0))
+                                      for w in words] for i in idxs],
+                                    len(words))
+        sol = (None if elt.keys() - set(words) else
+               coordinates([elt.get(w, Q(0)) for w in words]))
+        if sol is None:
+            raise ValueError("element is not a Lie element of degree %d"
+                             % degree)
+        return list(zip(idxs, sol))
+
+    n = len(basis)
+    st = [[[Q(0)] * n for _ in range(n)] for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            d = len(basis[a]) + len(basis[b])
+            if d > step:
+                continue
+            for i, c in decompose(commutator(expansions[a], expansions[b]),
+                                  d):
+                st[a][b][i] = c
+                st[b][a][i] = -c
+    return st
+
+
+def monge_pfaffian_forms(n):
+    """The n-2 annihilator one-forms of the Monge model:
+    dy_i - y_{i+1} dx (0 <= i <= n-4) and dz - y_{n-3}^2 dx."""
+    from rank2dist.geometry import OneForm
+    from rank2dist.kernel import RatFunc
+    from rank2dist.models import monge_model
+
+    chart = monge_model(n).chart
+    ring = chart.ring
+    m = n - 3
+    forms = []
+    zero = RatFunc.from_const(ring, 0)
+    one = RatFunc.from_const(ring, 1)
+    for i in range(m):
+        comps = [zero] * n
+        comps[0] = -RatFunc.variable(ring, "y%d" % (i + 1))
+        comps[1 + i] = one
+        forms.append(OneForm(chart, comps))
+    comps = [zero] * n
+    ym = RatFunc.variable(ring, "y%d" % m)
+    comps[0] = -(ym * ym)
+    comps[n - 1] = one
+    forms.append(OneForm(chart, comps))
+    return forms
+
+
+def bracket_close_check(dist, basis):
+    """True iff the bracket of every basis pair satisfies the symmetry
+    equations exactly (checked against the equations, not the span)."""
+    from rank2dist.geometry import lie_bracket
+    from rank2dist.symmetry import is_symmetry
+
+    for y1, y2 in itertools.combinations(basis.basis, 2):
+        if not is_symmetry(dist, lie_bracket(y1, y2)):
+            return False
+    return True
+
+
+def vanishing_subspace_dim(basis, q):
+    """Dimension of the sub-span of basis fields vanishing at q (witness
+    for the nilradical lower bound)."""
+    from rank2dist.kernel import QEchelon
+
+    vals = [f.at(q) for f in basis.basis]
+    ech = QEchelon(len(vals[0]) if vals else 0)
+    for v in vals:
+        ech.add(v)
+    return basis.dim - ech.rank

@@ -79,9 +79,9 @@ def test_criterion_3_jet_charts_route_to_deprolongation():
     for k in (3, 4, 5):
         dist = cartan_jet(k)
         q = origin(dist)
-        rep = weak_flag(dist, q, max_depth=3)
-        if rep.dims[-1] != 4:
-            report("3", False, "k=%d cube %d" % (k, rep.dims[-1]))
+        rep = weak_flag(dist, q)
+        if rep.cube != 4:
+            report("3", False, "k=%d cube %d" % (k, rep.cube))
         got = deprolongation_degree(dist, q)
         if got != (k - 2, "engel"):
             report("3", False, "k=%d degree %s" % (k, got))

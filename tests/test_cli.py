@@ -105,6 +105,28 @@ class TestAnalyze:
         assert rep["tanaka_symbol_dims"] == \
             tanaka_symbol(dist, point, samples=0).dims
 
+    @pytest.mark.parametrize("argv", [
+        ["--model", "cartan-jet", "--k", "12"], ["--model", "monge", "--n", "6"],
+    ], ids=["cartan-jet12", "monge6"])
+    def test_one_weak_and_one_strong_flag_at_the_base_point(
+            self, tmp_path, monkeypatch, argv):
+        # each flag checks the frame once at its point; the memo serves the
+        # Goursat, equiregularity and deprolongation steps
+        from rank2dist.distribution import Distribution
+        from rank2dist.kernel import as_q
+        real = Distribution.check_frame_at
+        at_base = []
+
+        def counting(dist, q):
+            if all(as_q(x) == 0 for x in q):
+                at_base.append(list(q))
+            return real(dist, q)
+
+        monkeypatch.setattr(Distribution, "check_frame_at", counting)
+        code, _ = run_cli(["analyze"] + argv, tmp_path)
+        assert code == 0
+        assert len(at_base) == 2
+
     def test_determinism_byte_identical(self, tmp_path):
         _, _ = run_cli(["analyze", "--model", "monge", "--n", "6",
                         "--seed", "3"], tmp_path, "a.json")
@@ -258,6 +280,23 @@ class TestLongCoefficients:
         assert rep["class"]["m"] == 2
         momentum = rep["class"]["samples"][0]["momentum"]
         assert max(len(v) for v in momentum) > limit
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_sampled_points_past_the_digit_limit(self, tmp_path, capsys):
+        # X2 vanishes on x = C + 1/2, a sampling-box point whose numerator
+        # 2C + 1 has 4301 digits; its DegenerateFrame message must not
+        # fail to format, so the sampler skips the point
+        c = "9" * 4300
+        p = tmp_path / "long_point.json"
+        p.write_text(json.dumps({
+            "coordinates": ["x", "y"],
+            "fields": [["1", "0"], ["0", "2*x - 2*%s - 1" % c]],
+            "point": [c, "0"],
+        }))
+        limit = sys.get_int_max_str_digits()
+        code, rep = run_cli(["analyze", "--input", str(p)], tmp_path)
+        assert (code, capsys.readouterr().err) == (0, "")
+        assert rep["equiregular_sampled"] is True
         assert sys.get_int_max_str_digits() == limit
 
     def test_parsing_keeps_the_digit_limit(self, tmp_path, capsys):
@@ -509,6 +548,22 @@ class TestErrors:
         }))
         code, _ = run_cli(["analyze", "--input", str(p)], tmp_path)
         assert code == 2
+
+    def test_precondition_spells_the_point_like_the_report(self, tmp_path,
+                                                           capsys):
+        # coordinates read as in provenance.base_point, under either backend
+        p = tmp_path / "x2_zero.json"
+        p.write_text(json.dumps({
+            "coordinates": ["x", "y0", "y1", "y2", "z"],
+            "fields": [["1", "y1", "y2", "0", "y2^2"],
+                       ["0", "0", "0", "0", "0"]],
+            "point": ["0", "0", "1/2", "-3", "0"],
+        }))
+        code, _ = run_cli(["analyze", "--input", str(p)], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "precondition failed: frame fields dependent at "
+            "[0, 0, 1/2, -3, 0]\n")
 
 
 _SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() |

@@ -112,6 +112,16 @@ class TestPointValues:
         assert fn(dist, q) == first
         assert field_evals[0] == 0
 
+    @pytest.mark.parametrize("fn", [weak_flag, strong_flag],
+                             ids=lambda fn: fn.__name__)
+    def test_one_report_per_point(self, fn):
+        dist = monge_model(5)
+        first = fn(dist, [0, 1, 0, 0, 0])
+        for q in ([Q(0), Q(1), Q(0), Q(0), Q(0)], ("0", "1", "0", "0", "0"),
+                  ("0", "2/2", 0, Q(0), "-0")):
+            assert fn(dist, q) is first
+        assert fn(dist, [0, 0, 0, 0, 0]) is not first
+
     def test_poles_at_every_box_point_but_q(self, monkeypatch):
         # D(t) vanishes at t = k/2 for k = +-1, +-2, +-3 and not at 0, so
         # the frame has a pole at every sampling-box point except q itself

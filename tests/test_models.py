@@ -13,9 +13,10 @@ from rank2dist.models import (build_model, cartan_jet,
                               cauchy_characteristic, deprolong,
                               deprolongation_degree, flat_from_symbol,
                               free_nilpotent_symbol, left_invariant_fields,
-                              monge_model, monge_pfaffian_forms, prolong)
+                              monge_model, prolong)
 
-from oracles import iterated_square_deprolongation_degree
+from oracles import (iterated_square_deprolongation_degree,
+                     monge_pfaffian_forms)
 
 
 def origin(dist):
@@ -83,6 +84,12 @@ class TestDeprolong:
         got = weak_flag(res.distribution,
                         origin(res.distribution)).growth_vector
         assert got == weak_flag(base, origin(base)).growth_vector
+
+    def test_cube5_is_refused_at_a_readable_point(self):
+        with pytest.raises(PreconditionError) as e:
+            deprolong(monge_model(5), [0, 0, Q(1, 2), 0, 0])
+        assert str(e.value) == ("cube dimension is 5 (need 4) at "
+                                "[0, 0, 1/2, 0, 0]")
 
     def test_cauchy_characteristic_of_prolonged(self):
         e = prolong(monge_model(5))
@@ -301,11 +308,6 @@ class TestBuildModel:
         spec = build_model("monge", n=6)
         assert spec.distribution.chart.dim == 6
         assert spec.base_point == [Q(0)] * 6
-
-    def test_prolonged(self):
-        spec = build_model("prolonged", base="monge",
-                           base_params={"n": 5}, count=2)
-        assert spec.distribution.chart.dim == 7
 
     def test_free_flat(self):
         spec = build_model("free-flat", step=4)
