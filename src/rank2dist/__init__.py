@@ -28,6 +28,6 @@ from .symplectic import (ClassReport, CotangentChart, CovectorSample,
                          hamiltonians, pointwise_full_flag)
 from .extremals import (CorankReport, Trajectory, endpoint_errors,
                         integrate_char, nu_along)
-from .symmetry import (SymmetryBasis, is_symmetry, nilradical_witness_dim,
+from .symmetry import (SymmetryBasis, nilradical_witness_dim,
                        stabilized_symmetry_basis, symmetry_basis,
                        symmetry_structure_constants)

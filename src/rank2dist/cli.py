@@ -13,6 +13,7 @@ import json
 import math
 import re
 import sys
+from itertools import chain
 
 from . import __version__
 from .errors import PreconditionError
@@ -288,13 +289,47 @@ def _encoder(level):
     return json.JSONEncoder(separators=(",\n" + "  " * (level + 1), ": "))
 
 
+# rows laid out by one C-encoder call on the row-block path; encoding a
+# whole block at once holds a second copy of its text in memory
+_BLOCK_ROWS = 256
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
+def _is_row_block(obj):
+    """Whether obj is a nonempty list of nonempty lists of JSON scalars."""
+    return bool(type(obj) is list and obj and set(map(type, obj)) == {list}
+                and all(obj) and set(map(type, chain.from_iterable(obj)))
+                <= _SCALAR_TYPES)
+
+
+def _write_row_block(rows, write, level):
+    """Write a row block (see _is_row_block) at depth `level`, encoding
+    _BLOCK_ROWS rows per C-encoder call.
+
+    The encoder of depth level + 1 already puts every scalar on its own
+    line at depth level + 2, so only the row brackets are re-indented.
+    The text "],\n<indent>[" marks exactly the row boundaries: a scalar's
+    spelling never ends in "]" and an encoded string holds no raw newline."""
+    inner = "\n" + "  " * (level + 1)
+    deep = inner + "  "
+    boundary = inner + "]," + inner + "[" + deep
+    enc = _encoder(level + 1)
+    sep = "[" + inner + "[" + deep
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        text = enc.encode(rows[start:start + _BLOCK_ROWS])
+        write(sep + text[2:-2].replace("]," + deep + "[", boundary))
+        sep = boundary
+    write(inner + "]\n" + "  " * level + "]")
+
+
 def write_json(obj, write, level=0):
     """Write obj in pieces through `write`, exactly as
     json.dumps(obj, indent=2, sort_keys=True) spells it.
 
     Nonempty dicts (str keys only) and lists that hold a container are laid
     out here; every scalar, empty container and list of scalars is spelled
-    by the C encoder, with the indented item separator of its depth."""
+    by the C encoder, with the indented item separator of its depth, and so
+    is a row block (a list of lists of scalars), in chunks of rows."""
     inner = "\n" + "  " * (level + 1)
     if isinstance(obj, dict) and obj:
         enc = _encoder(level)
@@ -307,6 +342,8 @@ def write_json(obj, write, level=0):
             write_json(obj[key], write, level + 1)
             sep = "," + inner
         write("\n" + "  " * level + "}")
+    elif _is_row_block(obj):
+        _write_row_block(obj, write, level)
     elif isinstance(obj, (list, tuple)) and any(
             isinstance(item, (list, tuple, dict)) for item in obj):
         sep = "[" + inner

@@ -77,13 +77,17 @@ def _compile_rk4_step(field, hs, h):
     max(|h1|, |h2|, |h3|), |h4| + |h5|).  The field is evaluated four times
     inline.  The stage grouping `s + half*k` and
     `s + sixth*(((k1 + 2*k2) + 2*k3) + k4)` keeps the float bits of earlier
-    reports."""
+    reports.  A stage point y is set only in the coordinates that some
+    component of the field reads."""
     dim = len(field)
+    read = sorted({i for rf in field for p in (rf.num, rf.den)
+                   for key in p.terms
+                   for i, e in enumerate(p.ring.decode(key)) if e})
     lines = ["def step(s):", "    %s, = s" % _names("s%d", dim)]
     _emit_values(lines, field, "s%d", "k1_%d")
     for k, scale in ((2, "half"), (3, "half"), (4, "h")):
         lines += ["    y%d = s%d + %s * k%d_%d" % (i, i, scale, k - 1, i)
-                  for i in range(dim)]
+                  for i in read]
         _emit_values(lines, field, "y%d", "k%d_%%d" % k)
     lines += ["    n%d = s%d + sixth * (((k1_%d + 2 * k2_%d) + 2 * k3_%d) "
               "+ k4_%d)" % ((i,) * 6) for i in range(dim)]

@@ -24,7 +24,7 @@ from .errors import DegenerateFrame, PreconditionError
 from .kernel import (MAX_EXPONENT, PoleError, Poly, Q, QEchelon, RatFunc,
                      add_product, q_coordinates, q_nullspace,
                      q_sparse_nullspace, rf_nullspace)
-from .geometry import OneForm, VectorField, lie_bracket, pair
+from .geometry import OneForm, VectorField, lie_bracket
 from .distribution import (Distribution, per_distribution, structure_bracket,
                            weak_flag)
 
@@ -435,16 +435,6 @@ def _certified_basis(dist):
     return SymmetryBasis(degree=degree, basis=fields, dim=len(fields),
                          stabilized=True, stable_degree=degree,
                          weights=weights, certified=True)
-
-
-def is_symmetry(dist, y):
-    """Exact check of the defining equations for one candidate field."""
-    for x in dist.frame:
-        b = lie_bracket(y, x)
-        for f in annihilator_forms(dist):
-            if not pair(f, b).is_zero():
-                return False
-    return True
 
 
 def _field_coeff_items(y):

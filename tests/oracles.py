@@ -12,8 +12,8 @@ that the weight-block path replaced; `iterated_square_deprolongation_degree`
 is the deprolongation loop that reading the strong flag replaced;
 `lyndon_structure_constants` is the per-degree tensor-algebra decomposition
 that `free_nilpotent_symbol` replaced.  `monge_pfaffian_forms`,
-`bracket_close_check` and `vanishing_subspace_dim` are exact checks that
-only tests call.
+`is_symmetry`, `bracket_close_check` and `vanishing_subspace_dim` are exact
+checks that only tests call.
 """
 
 import itertools
@@ -481,11 +481,23 @@ def monge_pfaffian_forms(n):
     return forms
 
 
+def is_symmetry(dist, y):
+    """Exact check of the defining equations for one candidate field."""
+    from rank2dist.geometry import lie_bracket, pair
+    from rank2dist.symmetry import annihilator_forms
+
+    for x in dist.frame:
+        b = lie_bracket(y, x)
+        for f in annihilator_forms(dist):
+            if not pair(f, b).is_zero():
+                return False
+    return True
+
+
 def bracket_close_check(dist, basis):
     """True iff the bracket of every basis pair satisfies the symmetry
     equations exactly (checked against the equations, not the span)."""
     from rank2dist.geometry import lie_bracket
-    from rank2dist.symmetry import is_symmetry
 
     for y1, y2 in itertools.combinations(basis.basis, 2):
         if not is_symmetry(dist, lie_bracket(y1, y2)):

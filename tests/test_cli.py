@@ -1,17 +1,20 @@
 """CLI: subcommands, exit codes, deterministic JSON, schema validation."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from rank2dist.cli import main, write_json
+from rank2dist.cli import _BLOCK_ROWS, main, write_json
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "src" / "rank2dist" / "schema" /
@@ -566,6 +569,20 @@ class TestErrors:
             "[0, 0, 1/2, -3, 0]\n")
 
 
+def _pieces(obj):
+    """The pieces write_json hands to `write`, checked against json.dumps."""
+    chunks = []
+    write_json(obj, chunks.append)
+    text = "".join(chunks)
+    expected = json.dumps(obj, indent=2, sort_keys=True)
+    if text != expected:
+        # pytest's diff of two long texts would take minutes
+        at = len(os.path.commonprefix([text, expected]))
+        pytest.fail("differs from json.dumps at offset %d: %r, not %r"
+                    % (at, text[at:at + 40], expected[at:at + 40]))
+    return chunks
+
+
 _SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() |
             st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324,
                              1e308]) | st.text())
@@ -579,9 +596,78 @@ _JSON = st.recursive(_SCALARS, lambda kids: (
           [5e-324, 1e308, math.nan, math.inf, -math.inf, True, None]])
 @example({"b": ({"c": [[1.5], "x"]},), "a": {}, "\x7f": [[]]})
 def test_writer_spells_reports_like_json_dumps(obj):
-    chunks = []
-    write_json(obj, chunks.append)
-    assert "".join(chunks) == json.dumps(obj, indent=2, sort_keys=True)
+    _pieces(obj)
+
+
+@pytest.mark.parametrize("rows", [1, 255, 256, 257, 600])
+def test_row_blocks_are_written_in_chunks(rows):
+    block = [[k * 0.1, -k, 1e-300 * k, k % 2 == 0, None, "r%d" % k]
+             [:k % 6 + 1] for k in range(rows)]
+    # one piece per chunk of rows, plus the closing brackets
+    assert len(_pieces(block)) == -(-rows // _BLOCK_ROWS) + 1
+    _pieces({"b": {"states": block, "times": [0.5] * rows}, "a": [block]})
+
+
+def test_row_block_strings_that_look_like_row_boundaries():
+    block = [["],\n    [", "[", "\n"], ["]"], ["a],", "],\n  ["]] * 200
+    assert len(_pieces(block)) == -(-600 // _BLOCK_ROWS) + 1
+    _pieces({"x": [block, block]})
+
+
+@pytest.mark.parametrize("block", [
+    [[1.0], []],
+    [[1.0], (2.0,)],
+    [[1.0, {"a": 1}]],
+    [[1.0, [2.0]]],
+], ids=["empty-row", "tuple-row", "dict-in-row", "list-in-row"])
+def test_other_lists_of_rows_take_the_per_item_path(block):
+    # the per-item path writes each row in its own pieces
+    assert len(_pieces(block)) > len(block) + 1
+    _pieces({"k": block * 300})
+
+
+class _Recorder:
+    """A stdout that keeps only the length of each written piece."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+
+
+def test_long_trace_report_is_streamed(monkeypatch):
+    # one write of a whole states block would hold a copy of its text, as
+    # large as most of the report, in memory at once
+    out = _Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["trace", "--model", "monge", "--n", "7",
+                 "--steps", "12000"]) == 0
+    assert sum(out.sizes) > 4_000_000
+    assert max(out.sizes) <= sum(out.sizes) / 8
+
+
+_TRACE_MODELS = (
+    st.integers(5, 9).map(lambda n: ["--model", "monge", "--n", str(n)]) |
+    st.integers(3, 4).map(lambda k: ["--model", "free-flat",
+                                     "--step", str(k)]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_TRACE_MODELS,
+       st.floats(allow_nan=False, allow_infinity=False) |
+       st.sampled_from([5e-324, -5e-324, 1e308, -1.7e308, 2.2e-308]),
+       st.integers(0, 40), st.integers())
+def test_trace_fuzz_keeps_the_exit_code_contract(model, T, steps, seed):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["trace"] + model + ["--T=%r" % T, "--steps", str(steps),
+                                         "--seed=%d" % seed])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue().splitlines()) <= 1
+    if code == 0:
+        assert json.loads(out.getvalue())["steps"] == steps
 
 
 def test_console_script_entry_point():

@@ -15,12 +15,13 @@ from rank2dist.kernel import Q, QEchelon
 from rank2dist.models import (build_model, cartan_jet, monge_model,
                               prolong)
 from rank2dist.symmetry import (annihilator_forms, detect_weights,
-                                is_symmetry, nilradical_witness_dim,
-                                symmetry_basis, stabilized_symmetry_basis,
+                                nilradical_witness_dim, symmetry_basis,
+                                stabilized_symmetry_basis,
                                 symmetry_structure_constants)
 
 from oracles import (bracket_close_check, degree_loop_symmetry_basis,
-                     symmetry_dim_oracle, vanishing_subspace_dim)
+                     is_symmetry, symmetry_dim_oracle,
+                     vanishing_subspace_dim)
 
 
 class TestWeights:
