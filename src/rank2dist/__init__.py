@@ -14,7 +14,7 @@ from .errors import (DegenerateFrame, NonEquiregular, NotBracketGenerating,
 from .kernel import (PoleError, Poly, PolyRing, Q, RatFunc,
                      ZeroDenominatorError, as_q)
 from .parsing import ExpressionError, parse_expr
-from .geometry import Chart, OneForm, VectorField, lie_bracket, pair
+from .geometry import Chart, OneForm, VectorField, lie_bracket
 from .distribution import (Distribution, FlagReport, GradedSymbol,
                            InvalidSymbol, cube_dim, equiregular_check,
                            is_goursat, strong_flag, tanaka_symbol, weak_flag)

@@ -140,8 +140,7 @@ def cmd_analyze(args):
         rep["tanaka_symbol_dims"] = [b - a for a, b in
                                      zip([0] + wf.dims, wf.dims)]
     if cube == 5:
-        cr = class_at_point(dist, point, samples=args.samples,
-                            seed=args.seed, depth_cap=args.depth_cap)
+        cr = class_at_point(dist, point, samples=args.samples, seed=args.seed)
         rep["class"] = {
             "m": cr.m,
             "maximal_class": cr.maximal_class,
@@ -154,8 +153,7 @@ def cmd_analyze(args):
         }
         rep["corank_bound"] = n - 2 - cr.m
     elif cube == 4:
-        s, terminal = deprolongation_degree(dist, point,
-                                            cap=args.depth_cap)
+        s, terminal = deprolongation_degree(dist, point)
         rep["deprolongation"] = {"degree": s, "terminal": terminal}
     else:
         rep["note"] = ("cube dimension %d: neither the class pipeline "
@@ -258,7 +256,6 @@ def build_parser():
         sp.add_argument("--input", help="input spec JSON file")
         sp.add_argument("--samples", type=_int_at_least(1), default=5)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--depth-cap", type=_int_at_least(0), default=None)
         sp.add_argument("--out", help="write report JSON here "
                                       "(default stdout)")
 

@@ -390,16 +390,6 @@ class FlowSeries:
             row.append([self._norm(v) for v in out])
 
 
-def pair(omega, x):
-    """Pairing <omega, X> = sum_i omega_i X^i."""
-    _check_chart(omega, x)
-    out = RatFunc.from_const(x.chart.ring, 0)
-    for wi, xi in zip(omega.components, x.components):
-        if not (wi.is_zero() or xi.is_zero()):
-            out = out + wi * xi
-    return out
-
-
 def linear_change(x, a):
     """Pushforward of X under the linear map q -> A q (A invertible over Q).
 

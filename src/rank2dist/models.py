@@ -224,7 +224,7 @@ def _deprolong_invariants(dist, q):
                                 "derived flag of D^2")
 
 
-def deprolongation_degree(dist, q, cap=None):
+def deprolongation_degree(dist, q):
     """Iterate deprolongation until the cube is 5-dimensional or the Engel
     model appears, reading each step off the strong growth `dims` at q.
 
@@ -235,12 +235,12 @@ def deprolongation_degree(dist, q, cap=None):
     and, on dimension n - s = 4, growth dims[s:] - s.  (The weak flag does
     not shift: prolonged Monge 5 has weak growth (2, 3, 4, 5, 6), strong
     (2, 3, 4, 6).)  Returns (s, terminal), terminal "cube5" or "engel".
+    Every step returns or raises by step n - 4, where the dimension is 4,
+    or at step 0 when the cube is at most 3.
     """
     n = dist.chart.dim
-    if cap is None:
-        cap = n
     dims = strong_flag(dist, q).dims
-    for s in range(cap + 1):
+    for s in range(max(n - 3, 1)):
         cube_s = dims[min(2 + s, len(dims) - 1)] - s
         if cube_s == 5:
             return s, "cube5"
@@ -255,7 +255,6 @@ def deprolongation_degree(dist, q, cap=None):
             raise PreconditionError(
                 "deprolongation stalled: cube dimension %d at step %d"
                 % (cube_s, s))
-    raise PreconditionError("deprolongation cap %d exceeded" % cap)
 
 
 # ---------------------------------------------------------------------------

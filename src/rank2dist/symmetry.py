@@ -204,17 +204,9 @@ def symmetry_basis(dist, d):
     chart = dist.chart
     ring = chart.ring
     n = chart.dim
-    forms = annihilator_forms(dist)
-    weights = detect_weights(dist)
-    if weights is not None:
-        forms = [h for f in forms for h in _split_form_by_weight(f, weights)]
-    # the exponent guard runs before the monomials are enumerated
-    system = _SymmetrySystem(ring, _poly_components(dist.frame), forms)
-    system.admit(d)
-    count = n * comb(n + d, d)
-    if count > MAX_SYMMETRY_UNKNOWNS:
-        raise OverflowError("degree %d gives %d monomial unknowns, more than "
-                            "%d" % (d, count, MAX_SYMMETRY_UNKNOWNS))
+    weights, system = _symmetry_system(dist)
+    # the guards run before the monomials are enumerated
+    system.admit(d, n * comb(n + d, d))
     monos = _monomials_up_to(ring, d)
     unknowns = [(key, i) for i in range(n) for key in monos]
     if weights is None:
@@ -230,6 +222,25 @@ def symmetry_basis(dist, d):
         fields += system.solve(chart, blocks[wt])
     return SymmetryBasis(degree=d, basis=fields, dim=len(fields),
                          weights=weights)
+
+
+@per_distribution
+def _symmetry_system(dist):
+    """(weights, system): the `detect_weights` of the frame, and its
+    symmetry conditions with the annihilator forms split by weight when
+    there are weights.
+
+    One system serves every symmetry_basis call and the weight blocks of
+    a distribution.  Its memo of X_a(m) is the one mutable part of this
+    shared result; it only gains entries."""
+    # annihilator_forms before detect_weights, so a frame that fails both
+    # fails with the same error on every path
+    forms = annihilator_forms(dist)
+    weights = detect_weights(dist)
+    if weights is not None:
+        forms = [h for f in forms for h in _split_form_by_weight(f, weights)]
+    return weights, _SymmetrySystem(dist.chart.ring,
+                                    _poly_components(dist.frame), forms)
 
 
 class _SymmetrySystem:
@@ -267,13 +278,20 @@ class _SymmetrySystem:
                                for eta in self.etas])
         self._applied = {}
 
-    def admit(self, degree):
+    def admit(self, degree, count, block=None):
         """Raise OverflowError if unknowns of total degree `degree` could
-        carry an exponent of the equations past MAX_EXPONENT."""
+        carry an exponent of the equations past MAX_EXPONENT, or if their
+        `count` (of the weight block `block`, else of every degree up to
+        `degree`) is more than MAX_SYMMETRY_UNKNOWNS."""
         for v, used in zip(self.ring.names, self._used):
             if used + degree > MAX_EXPONENT:
                 raise OverflowError("exponent of %s in the symmetry "
                                     "equations exceeds %d" % (v, MAX_EXPONENT))
+        if count > MAX_SYMMETRY_UNKNOWNS:
+            what = ("degree %d gives" % degree if block is None else
+                    "weight block %d has" % block)
+            raise OverflowError("%s %d monomial unknowns, more than %d"
+                                % (what, count, MAX_SYMMETRY_UNKNOWNS))
 
     def _apply(self, a, key):
         """X_a(m) for the monomial m with packed exponents key."""
@@ -396,26 +414,17 @@ def _certified_basis(dist):
     chart = dist.chart
     ring = chart.ring
     n = chart.dim
-    # annihilator_forms before detect_weights, as in symmetry_basis, so a
-    # frame that fails both fails with the same error on either path
-    forms = annihilator_forms(dist)
-    weights = detect_weights(dist)
+    weights, system = _symmetry_system(dist)
     if weights is None:
         return None
     low, high = min(weights), max(weights)
-    forms = [h for f in forms for h in _split_form_by_weight(f, weights)]
-    system = _SymmetrySystem(ring, _poly_components(dist.frame), forms)
     fields = []
     wt = -high
     while True:
         counts = _weight_counts(weights, wt + high)
-        count = sum(counts[wt + w] for w in weights if wt + w >= 0)
-        if count > MAX_SYMMETRY_UNKNOWNS:
-            raise OverflowError("weight block %d has %d monomial unknowns, "
-                                "more than %d"
-                                % (wt, count, MAX_SYMMETRY_UNKNOWNS))
-        # the largest total degree of a monomial in this block
-        system.admit((wt + high) // low)
+        # (wt + high) // low is the largest total degree in this block
+        system.admit((wt + high) // low,
+                     sum(counts[wt + w] for w in weights if wt + w >= 0), wt)
         block = [(key, i) for i in range(n)
                  for key in _monomials_of_weight(ring, weights,
                                                  wt + weights[i])]

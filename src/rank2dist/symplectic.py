@@ -242,7 +242,7 @@ def _bracket_series(dist):
     return BracketSeries(char_field(dist)[1], _lift(dist))
 
 
-def _class_iteration(dist, sample, depth_cap=None, p=None):
+def _class_iteration(dist, sample, p=None):
     """Shared flag iteration over Q (p None) or modulo the prime p:
     returns (nu, dims, level_values).
 
@@ -256,10 +256,12 @@ def _class_iteration(dist, sample, depth_cap=None, p=None):
     Q, round 0 takes the generator values of `cone_J_generators`, so poles
     and degenerate generators raise the errors of direct evaluation;
     modulo p they surface as PoleError and InvariantViolation.
+
+    The rank starts at n-1, rises by at most one per round and stays at
+    most 2n-4, so the flag stops within n-2 rounds; a run still rising
+    after n rounds (a degenerate reduction modulo p) raises.
     """
     n = dist.chart.dim
-    if depth_cap is None:
-        depth_cap = n
     flow = _bracket_series(dist).at(sample.point, p)
     if not any(flow.field_value()):
         raise PreconditionError("characteristic field vanishes at the sample")
@@ -273,8 +275,7 @@ def _class_iteration(dist, sample, depth_cap=None, p=None):
     dims = [ech.rank]
     levels = [values]
     frontier = range(len(values))
-    nu = None
-    for i in range(1, depth_cap + 1):
+    for i in range(1, n + 1):
         new = []
         for j in frontier:
             v = flow.ad(j, i)
@@ -289,9 +290,9 @@ def _class_iteration(dist, sample, depth_cap=None, p=None):
             nu = i - 1
             break
         frontier = [j for j, _ in new]
-    if nu is None:
-        raise PreconditionError("flag failed to stabilize within depth "
-                                "cap %d" % depth_cap)
+    else:
+        raise PreconditionError("flag failed to stabilize within %d rounds"
+                                % n)
     if nu > n - 3 or dims[0] != n - 1 or dims[-1] > 2 * n - 4:
         raise InvariantViolation("class %d or cone dims %s break nu <= n-3 "
                                  "or n-1 <= dims <= 2n-4" % (nu, dims))
@@ -307,14 +308,14 @@ def _sample_prime(dist, sample):
     return next(p for p in _word_primes() if den % p)
 
 
-def class_at_sample(dist, sample, depth_cap=None):
+def class_at_sample(dist, sample):
     """(class nu, cone dims trace) at one covector sample.
 
     The trace starts at n-1, increases by at most 1 per round, and ends
     with the stabilized rank repeated once.
 
     The iteration runs modulo a word-size prime first.  A run that ends
-    with nu = n-3 within depth_cap is exact: the residues are reductions
+    with nu = n-3 within its n rounds is exact: the residues are reductions
     of the exact tower values, and a rank modulo p is a lower bound of the
     rank over Q of the same vectors.  So the flag at the sample has at
     least the maximal dims n-1, n, ..., 2n-4, which its bounds (one rise
@@ -327,13 +328,13 @@ def class_at_sample(dist, sample, depth_cap=None):
     """
     n = dist.chart.dim
     try:
-        nu, dims, _ = _class_iteration(dist, sample, depth_cap,
+        nu, dims, _ = _class_iteration(dist, sample,
                                        _sample_prime(dist, sample))
         if nu == n - 3:
             return nu, dims
     except (ArithmeticError, PreconditionError):
         pass
-    nu, dims, _ = _class_iteration(dist, sample, depth_cap)
+    nu, dims, _ = _class_iteration(dist, sample)
     return nu, dims
 
 
@@ -352,7 +353,7 @@ class ClassReport:
                        "not certified pointwise")
 
 
-def class_at_point(dist, q, samples=5, seed=0, depth_cap=None):
+def class_at_point(dist, q, samples=5, seed=0):
     """m(q) = max class over seeded fiber samples; maximal iff m = n-3."""
     n = dist.chart.dim
     rng = random.Random(seed)
@@ -365,7 +366,7 @@ def class_at_point(dist, q, samples=5, seed=0, depth_cap=None):
                                   % samples)
         try:
             s = fiber_sample(dist, q, rng=rng)
-            nu, dims = class_at_sample(dist, s, depth_cap)
+            nu, dims = class_at_sample(dist, s)
         except SamplingFailure:
             continue
         per.append((s, nu, dims))
@@ -401,7 +402,7 @@ def _span_contains(basis, vec, ncols):
     return ech.contains(vec)
 
 
-def pointwise_full_flag(dist, sample, depth_cap=None):
+def pointwise_full_flag(dist, sample):
     """Exact subspace table at a sample: H (tangent to {h1=h2=h3=0} and
     killed by the tautological form), the restricted symplectic kernel,
     the osculating flag, its skew complements, and their vertical parts.
@@ -409,7 +410,7 @@ def pointwise_full_flag(dist, sample, depth_cap=None):
     n = dist.chart.dim
     ct, hs = hamiltonians(dist)
     lam = sample.point
-    nu, dims, levels = _class_iteration(dist, sample, depth_cap)
+    nu, dims, levels = _class_iteration(dist, sample)
     # constraint rows for H: gradients of h1, h2, h3 and the tautological row
     names = ct.chart.coords
     h_rows = []

@@ -11,7 +11,7 @@ replaced; `degree_loop_symmetry_basis` is the per-degree stabilization loop
 that the weight-block path replaced; `iterated_square_deprolongation_degree`
 is the deprolongation loop that reading the strong flag replaced;
 `lyndon_structure_constants` is the per-degree tensor-algebra decomposition
-that `free_nilpotent_symbol` replaced.  `monge_pfaffian_forms`,
+that `free_nilpotent_symbol` replaced.  `monge_pfaffian_forms`, `pair`,
 `is_symmetry`, `bracket_close_check` and `vanishing_subspace_dim` are exact
 checks that only tests call.
 """
@@ -217,7 +217,7 @@ def symmetry_dim_oracle(frame, coords, forms, d):
     return len(coeffs) - a.rank()
 
 
-def symbolic_class_tower(dist, sample, depth_cap=None):
+def symbolic_class_tower(dist, sample):
     """(nu, dims, level values) of the class iteration with symbolic
     brackets: ad_{X_C}^i of each lifted generator built by `lie_bracket`,
     denominators cleared after each bracket, and evaluated at the sample,
@@ -240,7 +240,7 @@ def symbolic_class_tower(dist, sample, depth_cap=None):
         ech.add(v)
     dims, levels = [ech.rank], [values]
     frontier = range(len(fields))
-    for i in range(1, (depth_cap or n) + 1):
+    for i in range(1, n + 1):
         new = []
         for j in frontier:
             fields[j] = cleared(lie_bracket(xc, fields[j]))
@@ -350,7 +350,7 @@ def degree_loop_symmetry_basis(dist, max_degree=8):
                             "degree %d" % max_degree)
 
 
-def iterated_square_deprolongation_degree(dist, q, cap=None):
+def iterated_square_deprolongation_degree(dist, q):
     """(s, terminal) of the deprolongation loop over iterated squares.
 
     The s-th iterated square E_s (frame plus pairwise brackets, pruned
@@ -362,8 +362,6 @@ def iterated_square_deprolongation_degree(dist, q, cap=None):
     from rank2dist.kernel import QEchelon
 
     n = dist.chart.dim
-    if cap is None:
-        cap = n
     dist.check_frame_at(q)
     ech = QEchelon(n)
     spanning = [w for w in range(dist.rank) if ech.add(dist.word_value(w, q))]
@@ -376,7 +374,7 @@ def iterated_square_deprolongation_degree(dist, q, cap=None):
             break
         spanning += new
         levels.append(new)
-    for s in range(cap + 1):
+    for s in range(n + 1):
         words = [w for level in levels[:s + 1] for w in level]
         rep = FlagReport(*_weak_levels(
             lambda w: dist.word_value(w, q),
@@ -396,7 +394,8 @@ def iterated_square_deprolongation_degree(dist, q, cap=None):
             raise PreconditionError(
                 "deprolongation stalled: cube dimension %d at step %d"
                 % (cube_s, s))
-    raise PreconditionError("deprolongation cap %d exceeded" % cap)
+    raise PreconditionError("deprolongation did not end within %d steps"
+                            % n)
 
 
 def lyndon_structure_constants(step):
@@ -481,9 +480,22 @@ def monge_pfaffian_forms(n):
     return forms
 
 
+def pair(omega, x):
+    """Pairing <omega, X> = sum_i omega_i X^i."""
+    from rank2dist.geometry import _check_chart
+    from rank2dist.kernel import RatFunc
+
+    _check_chart(omega, x)
+    out = RatFunc.from_const(x.chart.ring, 0)
+    for wi, xi in zip(omega.components, x.components):
+        if not (wi.is_zero() or xi.is_zero()):
+            out = out + wi * xi
+    return out
+
+
 def is_symmetry(dist, y):
     """Exact check of the defining equations for one candidate field."""
-    from rank2dist.geometry import lie_bracket, pair
+    from rank2dist.geometry import lie_bracket
     from rank2dist.symmetry import annihilator_forms
 
     for x in dist.frame:

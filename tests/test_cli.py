@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -471,11 +472,11 @@ class TestErrors:
          "--steps"),
         (["analyze", "--model", "monge", "--n", "5", "--prolong", "-1"],
          "--prolong"),
-        (["analyze", "--model", "monge", "--n", "6", "--depth-cap", "-1"],
+        (["analyze", "--model", "monge", "--n", "6", "--depth-cap", "3"],
          "--depth-cap"),
     ], ids=["bad-int", "unknown-flag", "unknown-command", "no-command",
             "T-inf", "T-nan", "samples-0", "steps-negative",
-            "prolong-negative", "depth-cap-negative"])
+            "prolong-negative", "depth-cap-removed"])
     def test_argument_errors_are_input_errors(self, capsys, argv, named):
         # exit 2 is kept for geometric precondition failures
         assert main(argv) == 1
@@ -517,14 +518,6 @@ class TestErrors:
         code, _ = run_cli(["analyze", "--input",
                            str(tmp_path / "nothere.json")], tmp_path)
         assert code == 1
-
-    def test_depth_cap_below_the_class(self, tmp_path, capsys):
-        code, _ = run_cli(["analyze", "--model", "monge", "--n", "6",
-                           "--depth-cap", "1", "--samples", "1"], tmp_path)
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("precondition failed:")
-        assert len(err.strip().splitlines()) == 1
 
     def test_poles_around_the_base_point(self, tmp_path, capsys):
         # every sampling-box point but the base point is a pole, so the
@@ -668,6 +661,54 @@ def test_trace_fuzz_keeps_the_exit_code_contract(model, T, steps, seed):
     assert len(err.getvalue().splitlines()) <= 1
     if code == 0:
         assert json.loads(out.getvalue())["steps"] == steps
+
+
+_COORDS = ("x", "y", "z", "u", "v")
+
+
+@st.composite
+def _input_specs(draw):
+    """An input spec on 2-5 coordinates: every frame entry a polynomial of
+    degree <= 2 with small integer coefficients, one entry plus a rational
+    atom c/(v + d), and an optional base point."""
+    names = _COORDS[:draw(st.integers(2, 5))]
+    term = st.tuples(st.integers(-3, 3),
+                     st.lists(st.sampled_from(names), max_size=2))
+    fields = [[" + ".join("%d%s" % (c, "".join("*" + v for v in m))
+                          for c, m in draw(st.lists(term, max_size=3))) or "0"
+               for _ in names] for _ in range(2)]
+    a, i = draw(st.integers(0, 1)), draw(st.integers(0, len(names) - 1))
+    fields[a][i] += " + %d/(%s + %d)" % (
+        draw(st.integers(-3, 3)), draw(st.sampled_from(names)),
+        draw(st.integers(-2, 2)))
+    spec = {"coordinates": list(names), "fields": fields}
+    if draw(st.booleans()):
+        spec["point"] = draw(st.lists(
+            st.sampled_from(["0", "1", "-1", "1/2", "-2/3"]),
+            min_size=len(names), max_size=len(names)))
+    return spec
+
+
+@settings(max_examples=40, deadline=None)
+@given(_input_specs(),
+       st.sampled_from([["analyze", "--samples", "1"],
+                        ["symmetries", "--degree", "0"],
+                        ["symmetries", "--degree", "1"]]),
+       st.integers())
+def test_input_fuzz_keeps_the_exit_code_contract(spec, command, seed):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "dist.json")
+        with open(path, "w") as fh:
+            json.dump(spec, fh)
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            code = main(command + ["--input", path, "--seed=%d" % seed])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue().splitlines()) <= 1
+    if code == 0:
+        assert json.loads(out.getvalue())["kind"] == command[0]
 
 
 def test_console_script_entry_point():

@@ -4,10 +4,10 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from rank2dist.geometry import (Chart, OneForm, VectorField, lie_bracket,
-                                linear_change, pair)
+                                linear_change)
 from rank2dist.kernel import Q, RatFunc
 
-from oracles import apply_to, sym_bracket, sym_vars
+from oracles import apply_to, pair, sym_bracket, sym_vars
 
 CH = Chart(("x", "y", "z"))
 

@@ -3,9 +3,10 @@ package, no imports beyond the standard library and gmpy2, packed-monomial
 bit access only inside the kernel, no float linear algebra (ranks are
 decided exactly), no symbolic brackets in the class tower, no `assert`
 statements (they vanish under `python -O`; invariants raise errors), JSON
-written only by the report writer, and every function the perfbench tracer
-wraps still exists."""
+written only by the report writer, every function the perfbench tracer
+wraps still exists, and README names exactly the options of the CLI."""
 
+import argparse
 import ast
 import importlib
 import re
@@ -189,6 +190,24 @@ def test_traced_names_exist():
                if not hasattr(importlib.import_module("rank2dist." + mod),
                               fn)]
     assert missing == []
+
+
+def _cli_options():
+    """Every long option of `cli.build_parser()` and its subcommands."""
+    from rank2dist.cli import build_parser
+
+    parser = build_parser()
+    subs, = [a for a in parser._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    return {opt for p in [parser, *subs.choices.values()]
+            for a in p._actions for opt in a.option_strings
+            if opt.startswith("--")}
+
+
+def test_readme_names_exactly_the_cli_options():
+    readme = (ROOT / "README.md").read_text()
+    named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", readme))
+    assert named - {"--no-build-isolation"} == _cli_options()
 
 
 def test_assert_check_sees_an_assert(tmp_path):

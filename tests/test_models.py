@@ -7,7 +7,7 @@ import pytest
 from rank2dist import models
 from rank2dist.distribution import Distribution, tanaka_symbol, weak_flag
 from rank2dist.errors import PreconditionError
-from rank2dist.geometry import Chart, lie_bracket, pair
+from rank2dist.geometry import Chart, lie_bracket
 from rank2dist.kernel import Q
 from rank2dist.models import (build_model, cartan_jet,
                               cauchy_characteristic, deprolong,
@@ -16,7 +16,7 @@ from rank2dist.models import (build_model, cartan_jet,
                               monge_model, prolong)
 
 from oracles import (iterated_square_deprolongation_degree,
-                     monge_pfaffian_forms)
+                     monge_pfaffian_forms, pair)
 
 
 def origin(dist):

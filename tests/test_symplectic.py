@@ -182,13 +182,34 @@ class TestClass:
         nu1, dims1 = class_at_sample(dist, s.scaled(Q(-5, 3)))
         assert (nu0, dims0) == (nu1, dims1)
 
-    def test_depth_cap_persistence(self):
-        # two extra rounds after stabilization change nothing
-        dist = monge_model(6)
+    def test_tower_still_rising_after_n_rounds_fails(self, monkeypatch):
+        # a flow whose rank rises in every round through generator 0, as
+        # only a degenerate reduction modulo p could
+        n = 6
+        dist = monge_model(n)
         s = fiber_sample(dist, origin(dist))
-        nu_a, _ = class_at_sample(dist, s)
-        nu_b, _ = class_at_sample(dist, s, depth_cap=dist.chart.dim + 2)
-        assert nu_a == nu_b
+
+        def unit(k):
+            return [Q(int(i == k)) for i in range(2 * n)]
+
+        class Rising:
+            def at(self, point, p=None):
+                return self
+
+            def field_value(self):
+                return unit(0)
+
+            def echelon(self):
+                return QEchelon(2 * n)
+
+            def ad(self, j, i):
+                return unit(j if i == 0 else n - 2 + i if j == 0 else 0)
+
+        monkeypatch.setattr(symplectic, "_bracket_series",
+                            lambda dist: Rising())
+        with pytest.raises(PreconditionError,
+                           match="failed to stabilize within 6 rounds"):
+            symplectic._class_iteration(dist, s, next(_word_primes()))
 
     def test_samples_share_the_symbolic_work(self, bracket_calls):
         # the tower comes from flow series, so the only brackets are the
@@ -279,9 +300,9 @@ def iteration_primes(monkeypatch):
     real = symplectic._class_iteration
     primes = []
 
-    def recording(dist, sample, depth_cap=None, p=None):
+    def recording(dist, sample, p=None):
         primes.append(p)
-        return real(dist, sample, depth_cap, p)
+        return real(dist, sample, p)
 
     monkeypatch.setattr(symplectic, "_class_iteration", recording)
     return primes
