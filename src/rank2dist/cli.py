@@ -17,7 +17,7 @@ from itertools import chain
 
 from . import __version__
 from .errors import PreconditionError
-from .kernel import PoleError, Q, as_q, unlimited_digits
+from .kernel import PoleError, Q, as_q, exact_strs, unlimited_digits
 from .parsing import ExpressionError
 from .geometry import Chart
 from .distribution import (Distribution, equiregular_check, is_goursat,
@@ -30,11 +30,6 @@ from .symmetry import stabilized_symmetry_basis, symmetry_basis
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_PRECONDITION = 2
-
-
-def _point_str(pt):
-    with unlimited_digits():
-        return [str(as_q(v)) for v in pt]
 
 
 _POINT_COORD = re.compile(r"[+-]?(?:\d+/\d+|\d*\.?\d+)")
@@ -111,7 +106,7 @@ def _provenance(args, desc, point):
         "tool_version": __version__,
         "schema": "report-v1",
         "seed": args.seed,
-        "base_point": _point_str(point),
+        "base_point": exact_strs(point),
         "source": desc,
     }
 
@@ -145,7 +140,7 @@ def cmd_analyze(args):
             "m": cr.m,
             "maximal_class": cr.maximal_class,
             "samples": [
-                {"momentum": _point_str(s.momentum), "nu": nu,
+                {"momentum": exact_strs(s.momentum), "nu": nu,
                  "dims_trace": list(dims)}
                 for s, nu, dims in cr.per_sample
             ],
@@ -171,7 +166,7 @@ def cmd_trace(args):
         "kind": "trace",
         "provenance": _provenance(args, desc, point),
         "convention_note": CONVENTION_NOTE,
-        "momentum": _point_str(sample.momentum),
+        "momentum": exact_strs(sample.momentum),
         "T": args.T,
         "steps": args.steps,
         "times": traj.times,
@@ -254,7 +249,6 @@ def build_parser():
         sp.add_argument("--prolong", type=_int_at_least(0), default=0,
                         help="apply this many prolongations")
         sp.add_argument("--input", help="input spec JSON file")
-        sp.add_argument("--samples", type=_int_at_least(1), default=5)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", help="write report JSON here "
                                       "(default stdout)")
@@ -262,6 +256,7 @@ def build_parser():
     a = sub.add_parser("analyze", help="growth, cube, class or "
                                        "deprolongation pipeline")
     common(a)
+    a.add_argument("--samples", type=_int_at_least(1), default=5)
     a.set_defaults(func=cmd_analyze)
 
     t = sub.add_parser("trace", help="integrate an abnormal extremal and "

@@ -64,11 +64,16 @@ def unlimited_digits():
             sys.set_int_max_str_digits(limit)
 
 
-def point_str(q):
-    """A point spelled as report provenance spells it, e.g. [0, 0, 1/2],
-    the same under either coefficient backend."""
+def exact_strs(q):
+    """The coordinates of a point as exact strings, e.g. ["0", "1/2"], the
+    same under either coefficient backend, as reports list them."""
     with unlimited_digits():
-        return "[%s]" % ", ".join(str(as_q(x)) for x in q)
+        return [str(as_q(x)) for x in q]
+
+
+def point_str(q):
+    """A point spelled for a message, e.g. [0, 0, 1/2]."""
+    return "[%s]" % ", ".join(exact_strs(q))
 
 
 class PolyRing:
@@ -806,6 +811,9 @@ class RatFunc:
     def is_zero(self):
         return self.num.is_zero()
 
+    def __bool__(self):
+        return not self.num.is_zero()
+
     def is_const(self):
         return self.num.is_const() and self.den.is_const()
 
@@ -930,12 +938,13 @@ def _normalize(num, den):
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over Q
+# the reduced echelon, over Q and the function field, and solvers over Q
 # ---------------------------------------------------------------------------
 
 class QEchelon:
-    """Incremental reduced row echelon form over Q, the one dense
-    elimination over Q.  Each pivot row is 1 at its pivot column, its
+    """Incremental reduced row echelon form, the one dense elimination over
+    Q and over the rational-function field: rows hold ints and Q values, or
+    RatFuncs of one ring.  Each pivot row is 1 at its pivot column, its
     first nonzero column, and 0 at every other pivot column, so the pivot
     rows are the unique reduced row echelon form of the rows added."""
 
@@ -957,7 +966,7 @@ class QEchelon:
 
     def add(self, row):
         """Insert a row; returns True if it increased the rank."""
-        row = self.reduce([as_q(x) for x in row])
+        row = self.reduce(row)
         for col in range(self.ncols):
             if row[col]:
                 inv = _ONE / row[col]
@@ -972,7 +981,7 @@ class QEchelon:
         return False
 
     def contains(self, row):
-        return not any(self.reduce([as_q(x) for x in row]))
+        return not any(self.reduce(row))
 
 
 def _rref_nullspace(pivots, ncols, zero, one):
@@ -1254,46 +1263,8 @@ def q_sparse_nullspace(rows, ncols):
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over the rational-function field
+# nullspaces and minimal solutions over the function field
 # ---------------------------------------------------------------------------
-
-def _rf_pivot_degree(x):
-    return x.num.total_degree() + x.den.total_degree()
-
-
-def rf_rref(rows, ncols):
-    """Reduced row echelon form over the function field.
-
-    Pivot choice inside each column: lowest-degree nonzero entry (ties by
-    row order), which keeps intermediate expression growth down.
-    Returns (rows, pivot_cols).
-    """
-    mat = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        best = None
-        for i in range(r, len(mat)):
-            if not mat[i][c].is_zero():
-                d = _rf_pivot_degree(mat[i][c])
-                if best is None or d < best[0]:
-                    best = (d, i)
-        if best is None:
-            continue
-        pr = best[1]
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = mat[r][c]
-        mat[r] = [x / inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not mat[i][c].is_zero():
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
-
 
 def rf_nullspace(rows, ncols):
     """Right nullspace basis over the function field: (rank, basis).
@@ -1302,11 +1273,12 @@ def rf_nullspace(rows, ncols):
     RatFuncs scaled by the lcm of the raw denominators.
     """
     ring = rows[0][0].ring
-    rref, pivots = rf_rref(rows, ncols)
-    basis = _rref_nullspace(dict(zip(pivots, rref)), ncols,
-                            RatFunc.from_const(ring, 0),
+    ech = QEchelon(ncols)
+    for r in rows:
+        ech.add(r)
+    basis = _rref_nullspace(ech.pivots, ncols, RatFunc.from_const(ring, 0),
                             RatFunc.from_const(ring, 1))
-    return len(pivots), [clear_denominators(v) for v in basis]
+    return ech.rank, [clear_denominators(v) for v in basis]
 
 
 def clear_denominators(vec):
@@ -1331,12 +1303,12 @@ def rf_solve_minimal(rows, rhs, ncols):
 
     Returns the solution vector or None if the system is inconsistent.
     """
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    rref, pivots = rf_rref(aug, ncols + 1)
-    if ncols in pivots:
+    ech = QEchelon(ncols + 1)
+    for r, b in zip(rows, rhs):
+        ech.add(list(r) + [b])
+    if ncols in ech.pivots:
         return None
-    ring = rows[0][0].ring
-    x = [RatFunc.from_const(ring, 0) for _ in range(ncols)]
-    for ri, pc in enumerate(pivots):
-        x[pc] = rref[ri][ncols]
+    x = [RatFunc.from_const(rows[0][0].ring, 0) for _ in range(ncols)]
+    for pc, row in ech.pivots.items():
+        x[pc] = row[ncols]
     return x

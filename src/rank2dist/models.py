@@ -9,8 +9,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .kernel import (PoleError, Q, RatFunc, as_q, clear_denominators,
-                     point_str, q_inverse, rf_nullspace, rf_rref)
+from .kernel import (PoleError, Q, QEchelon, RatFunc, as_q,
+                     clear_denominators, point_str, q_inverse, rf_nullspace)
 from .geometry import Chart, VectorField, linear_change
 from .distribution import (Distribution, FlagReport, _symbol_from_basis,
                            _weak_levels, cube_dim, nearby_points,
@@ -184,10 +184,12 @@ def _deprolong_rectified(dist, q, z):
     w = chart.coords[-1]
     # rref with the w-column first so the characteristic row separates
     order = [n - 1] + list(range(n - 1))
-    rows = [[f.components[c] for c in order] for f in (f1, f2, f3)]
-    rref, pivots = rf_rref(rows, n)
-    if len(rref) != 3 or pivots[0] != 0:
+    ech = QEchelon(n)
+    for f in (f1, f2, f3):
+        ech.add([f.components[c] for c in order])
+    if ech.rank != 3 or 0 not in ech.pivots:
         return None
+    rref = [ech.pivots[c] for c in sorted(ech.pivots)]
     # row 0 must be exactly the characteristic direction e_w
     if any(not rref[0][c].is_zero() for c in range(1, n)):
         return None

@@ -11,7 +11,7 @@ and the class itself is offset-free.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import lcm
 
 from .errors import InvariantViolation, PreconditionError, SamplingFailure
@@ -342,12 +342,9 @@ def class_at_sample(dist, sample):
 class ClassReport:
     """Fiberwise class data at a base point, sampled over the annihilator."""
 
-    base_point: list
-    n: int
     per_sample: list            # list of (CovectorSample, nu, dims)
     m: int
     maximal_class: bool
-    note: str = CONVENTION_NOTE
     genericity: str = ("m is a maximum over seeded random fiber samples; "
                        "valid on a nonempty Zariski-open set of covectors, "
                        "not certified pointwise")
@@ -371,8 +368,7 @@ def class_at_point(dist, q, samples=5, seed=0):
             continue
         per.append((s, nu, dims))
     m = max(nu for _, nu, _ in per)
-    return ClassReport(base_point=list(q), n=n, per_sample=per, m=m,
-                       maximal_class=(m == n - 3))
+    return ClassReport(per_sample=per, m=m, maximal_class=(m == n - 3))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +388,6 @@ class FullFlagTable:
     ker_contains_char: bool
     ker_contains_euler: bool
     lower1_is_vertical_plus_char: bool
-    bases: dict = field(default_factory=dict)
 
 
 def _span_contains(basis, vec, ncols):
@@ -460,6 +455,4 @@ def pointwise_full_flag(dist, sample):
         dims_upper=dims_upper, dims_lower=dims_lower,
         dims_vertical=dims_vert,
         ker_contains_char=k_char, ker_contains_euler=k_euler,
-        lower1_is_vertical_plus_char=l1_ok,
-        bases={"H": H, "ker_sigma": ker, "upper": levels,
-               "lower": lower_bases})
+        lower1_is_vertical_plus_char=l1_ok)

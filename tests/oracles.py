@@ -11,7 +11,8 @@ replaced; `degree_loop_symmetry_basis` is the per-degree stabilization loop
 that the weight-block path replaced; `iterated_square_deprolongation_degree`
 is the deprolongation loop that reading the strong flag replaced;
 `lyndon_structure_constants` is the per-degree tensor-algebra decomposition
-that `free_nilpotent_symbol` replaced.  `monge_pfaffian_forms`, `pair`,
+that `free_nilpotent_symbol` replaced; `rf_rref` is the Gauss-Jordan
+elimination over the function field that `QEchelon` replaced.  `monge_pfaffian_forms`, `pair`,
 `is_symmetry`, `bracket_close_check` and `vanishing_subspace_dim` are exact
 checks that only tests call.
 """
@@ -527,3 +528,41 @@ def vanishing_subspace_dim(basis, q):
     for v in vals:
         ech.add(v)
     return basis.dim - ech.rank
+
+
+def _rf_pivot_degree(x):
+    return x.num.total_degree() + x.den.total_degree()
+
+
+def rf_rref(rows, ncols):
+    """Reduced row echelon form over the function field.
+
+    Pivot choice inside each column: lowest-degree nonzero entry (ties by
+    row order), which keeps intermediate expression growth down.
+    Returns (rows, pivot_cols).
+    """
+    mat = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        best = None
+        for i in range(r, len(mat)):
+            if not mat[i][c].is_zero():
+                d = _rf_pivot_degree(mat[i][c])
+                if best is None or d < best[0]:
+                    best = (d, i)
+        if best is None:
+            continue
+        pr = best[1]
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = mat[r][c]
+        mat[r] = [x / inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and not mat[i][c].is_zero():
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots

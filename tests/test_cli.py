@@ -474,9 +474,14 @@ class TestErrors:
          "--prolong"),
         (["analyze", "--model", "monge", "--n", "6", "--depth-cap", "3"],
          "--depth-cap"),
+        (["trace", "--model", "monge", "--n", "5", "--samples", "1"],
+         "--samples"),
+        (["symmetries", "--model", "monge", "--n", "5", "--samples", "1"],
+         "--samples"),
     ], ids=["bad-int", "unknown-flag", "unknown-command", "no-command",
             "T-inf", "T-nan", "samples-0", "steps-negative",
-            "prolong-negative", "depth-cap-removed"])
+            "prolong-negative", "depth-cap-removed", "trace-samples",
+            "symmetries-samples"])
     def test_argument_errors_are_input_errors(self, capsys, argv, named):
         # exit 2 is kept for geometric precondition failures
         assert main(argv) == 1
@@ -693,7 +698,8 @@ def _input_specs(draw):
 @given(_input_specs(),
        st.sampled_from([["analyze", "--samples", "1"],
                         ["symmetries", "--degree", "0"],
-                        ["symmetries", "--degree", "1"]]),
+                        ["symmetries", "--degree", "1"],
+                        ["trace", "--steps", "3"]]),
        st.integers())
 def test_input_fuzz_keeps_the_exit_code_contract(spec, command, seed):
     out, err = io.StringIO(), io.StringIO()

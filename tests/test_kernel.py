@@ -10,9 +10,10 @@ from rank2dist.kernel import (PoleError, Poly, PolyRing, Q, QEchelon,
                               RatFunc, ZeroDenominatorError, as_q,
                               clear_denominators, divexact, poly_gcd,
                               q_coordinates, q_inverse, q_nullspace,
-                              q_sparse_nullspace, rf_nullspace, rf_rref,
+                              q_sparse_nullspace, rf_nullspace,
                               rf_solve_minimal)
 from rank2dist import kernel
+from oracles import rf_rref
 
 R3 = PolyRing(("x", "y", "z"))
 X, Y, Z = R3.gens()
@@ -425,13 +426,97 @@ class TestQSparseNullspace:
         assert self.check(rows, 3) == []
 
 
+def _random_rf(rng):
+    """Zero, a constant, a polynomial or a quotient with a non-constant
+    denominator, in x and y."""
+    def poly():
+        return sum((Q(rng.randint(-3, 3)) * X ** rng.randint(0, 2) *
+                    Y ** rng.randint(0, 1) for _ in range(rng.randint(1, 3))),
+                   R3.zero())
+    kind = rng.randrange(4)
+    if kind == 0:
+        return RatFunc.from_const(R3, 0)
+    if kind == 1:
+        return RatFunc.from_const(R3, Q(rng.randint(-4, 4), rng.randint(1, 3)))
+    if kind == 2:
+        return RatFunc.from_poly(poly())
+    return RatFunc(poly(), X ** rng.randint(1, 2) + Q(rng.randint(1, 3)) * Y)
+
+
+def _random_rf_system(rng):
+    """Random rows, then a zero row, a repeated row or a combination of
+    two rows, each at random, in shuffled order."""
+    ncols = rng.randint(1, 4)
+    rows = [[_random_rf(rng) for _ in range(ncols)]
+            for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.4:
+        rows.append([RatFunc.from_const(R3, 0)] * ncols)
+    if rng.random() < 0.4:
+        rows.append(list(rng.choice(rows)))
+    if rng.random() < 0.6:
+        a, b = rng.choice(rows), rng.choice(rows)
+        f, g = _random_rf(rng), _random_rf(rng)
+        rows.append([f * u + g * v for u, v in zip(a, b)])
+    rng.shuffle(rows)
+    return rows, ncols
+
+
+def _oracle_nullspace(rows, ncols):
+    rref, pivots = rf_rref(rows, ncols)
+    basis = kernel._rref_nullspace(dict(zip(pivots, rref)), ncols,
+                                   RatFunc.from_const(R3, 0),
+                                   RatFunc.from_const(R3, 1))
+    return len(pivots), [clear_denominators(v) for v in basis]
+
+
+def _oracle_solve_minimal(rows, rhs, ncols):
+    rref, pivots = rf_rref([list(r) + [b] for r, b in zip(rows, rhs)],
+                           ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [RatFunc.from_const(R3, 0)] * ncols
+    for row, pc in zip(rref, pivots):
+        x[pc] = row[ncols]
+    return x
+
+
 class TestRFLinear:
     def test_rf_rank(self):
         one = RatFunc.from_poly(R3.one())
         x = RatFunc.from_poly(X)
-        rows = [[one, x], [x, x * x]]
-        _, pivots = rf_rref(rows, 2)
-        assert len(pivots) == 1
+        ech = QEchelon(2)
+        for row in ([one, x], [x, x * x]):
+            ech.add(row)
+        assert len(ech.pivots) == 1
+
+    def test_bool_is_a_nonzero_numerator(self):
+        x = RatFunc.from_poly(X)
+        assert not RatFunc.from_const(R3, 0)
+        assert not x - x
+        assert x and RatFunc(R3.one(), X) and RatFunc.from_const(R3, Q(-1, 2))
+
+    def test_random_systems_match_the_gauss_jordan_oracle(self):
+        rng = random.Random(20)
+        for _ in range(40):
+            rows, ncols = _random_rf_system(rng)
+            assert rf_nullspace(rows, ncols) == _oracle_nullspace(rows, ncols)
+            v = [_random_rf(rng) for _ in range(ncols)]
+            for rhs in ([sum((a * b for a, b in zip(r, v)),
+                             RatFunc.from_const(R3, 0)) for r in rows],
+                        [_random_rf(rng) for _ in rows]):
+                got = rf_solve_minimal(rows, rhs, ncols)
+                assert got == _oracle_solve_minimal(rows, rhs, ncols)
+
+    def test_inconsistent_right_hand_sides_give_none(self):
+        x = RatFunc.from_poly(X)
+        one = RatFunc.from_poly(R3.one())
+        zero = RatFunc.from_const(R3, 0)
+        y = RatFunc(R3.one(), Y + X)
+        for rows, rhs in (([[zero, zero], [one, x]], [y, one]),
+                          ([[one, x], [one, x]], [one, y]),
+                          ([[x, one], [x * x, x]], [one, one])):
+            assert rf_solve_minimal(rows, rhs, 2) is None
+            assert _oracle_solve_minimal(rows, rhs, 2) is None
 
     def test_rf_nullspace_clears_denominators(self):
         x = RatFunc.from_poly(X)
