@@ -12,9 +12,9 @@ that the weight-block path replaced; `iterated_square_deprolongation_degree`
 is the deprolongation loop that reading the strong flag replaced;
 `lyndon_structure_constants` is the per-degree tensor-algebra decomposition
 that `free_nilpotent_symbol` replaced; `rf_rref` is the Gauss-Jordan
-elimination over the function field that `QEchelon` replaced.  `monge_pfaffian_forms`, `pair`,
-`is_symmetry`, `bracket_close_check` and `vanishing_subspace_dim` are exact
-checks that only tests call.
+elimination over the function field that `QEchelon` replaced.
+`monge_pfaffian_forms`, `pair`, `is_symmetry`, `bracket_close_check` and
+`vanishing_subspace_dim` are exact checks that only tests call.
 """
 
 import itertools

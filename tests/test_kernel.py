@@ -501,11 +501,14 @@ class TestRFLinear:
             rows, ncols = _random_rf_system(rng)
             assert rf_nullspace(rows, ncols) == _oracle_nullspace(rows, ncols)
             v = [_random_rf(rng) for _ in range(ncols)]
-            for rhs in ([sum((a * b for a, b in zip(r, v)),
-                             RatFunc.from_const(R3, 0)) for r in rows],
-                        [_random_rf(rng) for _ in rows]):
-                got = rf_solve_minimal(rows, rhs, ncols)
-                assert got == _oracle_solve_minimal(rows, rhs, ncols)
+            rhs = [sum((a * b for a, b in zip(r, v)),
+                       RatFunc.from_const(R3, 0)) for r in rows]
+            got = rf_solve_minimal(rows, rhs, ncols)
+            assert got is not None
+            assert got == _oracle_solve_minimal(rows, rhs, ncols)
+            rhs = [_random_rf(rng) for _ in rows]
+            assert (rf_solve_minimal(rows, rhs, ncols) ==
+                    _oracle_solve_minimal(rows, rhs, ncols))
 
     def test_inconsistent_right_hand_sides_give_none(self):
         x = RatFunc.from_poly(X)
